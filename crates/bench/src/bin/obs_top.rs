@@ -52,6 +52,14 @@ fn rate(hits: u64, misses: u64) -> f64 {
 
 fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let queued: i64 = [
+        names::SERVE_QUEUE_DEPTH_BATCH,
+        names::SERVE_QUEUE_DEPTH_NORMAL,
+        names::SERVE_QUEUE_DEPTH_INTERACTIVE,
+    ]
+    .iter()
+    .map(|name| snap.gauge(name).unwrap_or(0))
+    .sum();
     println!("\n━━ obs_top — {label} ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━");
     println!(
         "frames: {} submitted, {} rendered, {} completed, {} failed   queue depth {}",
@@ -59,14 +67,14 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
         c(names::SERVE_FRAMES_RENDERED),
         c(names::SERVE_FRAMES_COMPLETED),
         c(names::SERVE_FRAMES_FAILED),
-        snap.gauge(names::SERVE_QUEUE_DEPTH).unwrap_or(0),
+        queued,
     );
     println!(
         "caches: frame {:.1}% hit, plan {:.1}% hit   batches {} ({} frames)   stagings {} / reuses {}",
         rate(c(names::SERVE_FRAME_CACHE_HITS), c(names::SERVE_FRAME_CACHE_MISSES)) * 100.0,
         rate(c(names::SERVE_PLAN_CACHE_HITS), c(names::SERVE_PLAN_CACHE_MISSES)) * 100.0,
         c(names::SERVE_BATCHES),
-        c(names::SERVE_BATCHED_FRAMES),
+        c(names::SERVE_FRAMES_RENDERED),
         c(names::SERVE_BRICK_STAGINGS),
         c(names::SERVE_BRICK_REUSES),
     );

@@ -1,18 +1,19 @@
 //! `panic-free-decode` — the decode paths must refuse, never panic.
 //!
-//! PR 4 established (and a proptest corruption harness verifies) that
-//! `wire.rs` decoding turns arbitrary bytes into typed `WireError`s, not
-//! panics. Proptests sample; this lint proves the *shape* on every
-//! build: inside `read_frame` and every `decode_*` function in
-//! `crates/net/src/wire.rs` there must be no `unwrap`/`expect`,
-//! no `panic!`/`unreachable!`/`todo!`/`unimplemented!`, and no direct
-//! slice indexing (`payload[4]`, `&buf[..n]` — both can panic; use
-//! `get(..)` and typed errors).
+//! Wire decoding turns arbitrary peer bytes into typed `WireError`s, not
+//! panics (a proptest corruption harness samples this). This lint proves
+//! the *shape* on every build, in every function that reads peer bytes:
+//! `read_frame` and every `decode_*` in `crates/net/src/wire.rs`, and
+//! every `decode_*`/`get_*` in `crates/net/src/heat.rs` (the `STATS`
+//! payload). Inside them there must be no `unwrap`/`expect`, no
+//! `panic!`/`unreachable!`/`todo!`/`unimplemented!`, and no direct slice
+//! indexing (`payload[4]`, `&buf[..n]` — both can panic; use `get(..)`
+//! and typed errors).
 
 use crate::diag::Diagnostics;
 use crate::lexer::Tok;
 use crate::lints::is_ident;
-use crate::source::{match_brace, Workspace};
+use crate::source::{match_brace, SourceFile, Workspace};
 
 pub const NAME: &str = "panic-free-decode";
 
@@ -25,11 +26,30 @@ const BANNED_CALLS: &[&str] = &[
     "unimplemented",
 ];
 
+/// Whether a function, by name, reads peer bytes.
+type InScope = fn(&str) -> bool;
+
+/// The files whose functions read peer bytes, and which functions those
+/// are.
+const DECODERS: &[(&str, InScope)] = &[
+    ("net/src/wire.rs", |name| {
+        name.starts_with("decode_") || name == "read_frame"
+    }),
+    ("net/src/heat.rs", |name| {
+        name.starts_with("decode_") || name.starts_with("get_")
+    }),
+];
+
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
-    let Some(wire) = ws.file_ending("net/src/wire.rs") else {
-        return;
-    };
-    let tokens = &wire.tokens;
+    for (suffix, in_scope) in DECODERS {
+        if let Some(file) = ws.file_ending(suffix) {
+            check_file(file, *in_scope, diag);
+        }
+    }
+}
+
+fn check_file(file: &SourceFile, in_scope: InScope, diag: &mut Diagnostics) {
+    let tokens = &file.tokens;
     let mut i = 0;
     while i < tokens.len() {
         if !is_ident(tokens, i, "fn") {
@@ -40,13 +60,12 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
             i += 1;
             continue;
         };
-        let in_scope = fn_name.starts_with("decode_") || fn_name == "read_frame";
         let Some(open) = (i..tokens.len()).find(|&k| matches!(tokens[k].tok, Tok::Punct('{')))
         else {
             break;
         };
         let close = match_brace(tokens, open);
-        if !in_scope {
+        if !in_scope(fn_name) {
             i = close + 1;
             continue;
         }
@@ -54,7 +73,7 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
             match &tokens[k].tok {
                 Tok::Ident(id) if BANNED_CALLS.contains(&id.as_str()) => {
                     diag.report(
-                        wire,
+                        file,
                         tokens[k].line,
                         NAME,
                         format!(
@@ -65,7 +84,7 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
                 }
                 Tok::Punct('[') if is_index_bracket(tokens, k) => {
                     diag.report(
-                        wire,
+                        file,
                         tokens[k].line,
                         NAME,
                         format!(

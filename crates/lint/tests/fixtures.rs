@@ -302,6 +302,47 @@ fn decode_red_direct_indexing_fires() {
 }
 
 #[test]
+fn decode_green_stats_getters_are_quiet() {
+    // STATS bytes come from a peer too: `heat.rs` getters return typed
+    // errors through the shared reader.
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/heat.rs",
+            "fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {\n\
+                 let n = r.count(12)?;\n\
+                 let mut buckets = [0u64; 64];\n\
+                 for b in &mut buckets { *b = r.u64()?; }\n\
+                 Ok(Snapshot::of(n, buckets))\n\
+             }\n",
+        )],
+    );
+    assert_quiet(&findings);
+}
+
+#[test]
+fn decode_red_stats_getter_fires() {
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/heat.rs",
+            "fn get_wall(r: &mut Reader) -> u64 { r.u64().expect(\"wall\") }\n\
+             fn decode_stats(p: &[u8]) -> u64 { p[0] as u64 }\n",
+        )],
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`expect` in decode path `get_wall`",
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "direct slice indexing in decode path `decode_stats`",
+    );
+}
+
+#[test]
 fn decode_non_decode_fns_are_out_of_scope() {
     // `encode_*` may index freely — lengths are under our control there.
     let findings = run(

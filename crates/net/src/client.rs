@@ -365,8 +365,9 @@ impl RenderClient {
         frame_response(op, &payload)
     }
 
-    /// Fetch the merged service report, per-shard heat metrics and the
-    /// server's obs snapshot (STATS v2).
+    /// Fetch the server's stats: the node's obs snapshot plus per-shard
+    /// heat and the merged service report, both rebuilt from the shard
+    /// snapshots the reply carries.
     pub fn stats(&self) -> Result<NetStats, ClientError> {
         let id = self.fresh_id();
         self.send(opcode::STATS, id, &[])?;

@@ -1,19 +1,17 @@
-//! Shard heat over the wire: the `STATS` request's payload — the merged
-//! [`ServiceReport`] plus one [`ShardHeat`] per shard — and a client-side
+//! Shard heat over the wire: the `STATS` request's payload — the node's
+//! observability snapshot plus one snapshot per shard — and a client-side
 //! view with the imbalance arithmetic a rebalancer (or an operator reading
 //! a dashboard) starts from.
 
-use std::time::Duration;
-
 use mgpu_obs::{Snapshot, HIST_BUCKETS};
-use mgpu_serve::{CacheSnapshot, ServiceReport, ShardHeat, WAIT_BUCKETS};
+use mgpu_serve::{ServiceReport, ShardHeat};
 
 use crate::wire::{Reader, WireError, Writer};
 
-/// What `STATS` returns: cluster-wide accounting plus per-shard heat —
-/// and, since STATS v2, the node's full [`mgpu_obs`] registry snapshot
-/// (per-stage histograms, cache counters, event-loop wakeups, …), which
-/// merges exactly across nodes via [`Snapshot::merge`].
+/// What `STATS` returns. On the wire it is only the epoch, the node's
+/// snapshot and one `(wall time, snapshot)` pair per shard; `merged` and
+/// `shards` are rebuilt from the shard snapshots by [`NetStats::new`], so
+/// the shard counters always sum to the merged ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetStats {
     /// The directory epoch this node last heard about (wire v4). Every
@@ -27,16 +25,33 @@ pub struct NetStats {
     pub merged: ServiceReport,
     /// Per-shard heat, indexed by shard.
     pub shards: Vec<ShardHeat>,
-    /// The node's observability snapshot (STATS v2): every registered
-    /// counter, gauge and histogram under its stable name.
+    /// The node's observability snapshot: the server's own `net.*`
+    /// registry, every shard's `serve.*` registry, and the process-global
+    /// `volren.*`/`pool.*` metrics. Merges exactly across nodes via
+    /// [`Snapshot::merge`].
     pub obs: Snapshot,
 }
 
 impl NetStats {
+    /// Assemble from the node snapshot and the per-shard reports (indexed
+    /// by shard); the merged report is their [`ServiceReport::merged`].
+    pub fn new(epoch: u64, obs: Snapshot, shard_reports: Vec<ServiceReport>) -> NetStats {
+        NetStats {
+            epoch,
+            merged: ServiceReport::merged(&shard_reports),
+            shards: shard_reports
+                .into_iter()
+                .enumerate()
+                .map(|(shard, report)| ShardHeat { shard, report })
+                .collect(),
+            obs,
+        }
+    }
+
     /// The busiest shard by completed frames (`None` with zero shards —
     /// never the case for a live server).
     pub fn hottest(&self) -> Option<&ShardHeat> {
-        self.shards.iter().max_by_key(|h| h.frames_completed)
+        self.shards.iter().max_by_key(|h| h.report.frames_completed)
     }
 
     /// Max-over-mean completed frames across shards: 1.0 is a perfectly
@@ -46,10 +61,10 @@ impl NetStats {
         let max = self
             .shards
             .iter()
-            .map(|h| h.frames_completed)
+            .map(|h| h.report.frames_completed)
             .max()
             .unwrap_or(0);
-        let total: u64 = self.shards.iter().map(|h| h.frames_completed).sum();
+        let total: u64 = self.shards.iter().map(|h| h.report.frames_completed).sum();
         if total == 0 || self.shards.is_empty() {
             return 1.0;
         }
@@ -68,138 +83,23 @@ impl std::fmt::Display for NetStats {
             "shard", "queued", "frames", "frames/s", "cache", "plans", "p90 wait"
         )?;
         for h in &self.shards {
+            let r = &h.report;
             writeln!(
                 f,
                 "{:>5} {:>7} {:>9} {:>9.2} {:>6}/{:<4} {:>6}/{:<4} {:>7.2}ms",
                 h.shard,
                 h.queue_depth(),
-                h.frames_completed,
-                h.frames_per_sec,
-                h.frame_cache.entries,
-                h.frame_cache.capacity,
-                h.plan_cache.entries,
-                h.plan_cache.capacity,
-                h.queue_wait_p90.as_secs_f64() * 1e3,
+                r.frames_completed,
+                r.frames_per_sec(),
+                r.frame_cache.entries,
+                r.frame_cache.capacity,
+                r.plan_cache.entries,
+                r.plan_cache.capacity,
+                r.queue_wait_p90().as_secs_f64() * 1e3,
             )?;
         }
         write!(f, "imbalance (max/mean frames): {:.2}", self.imbalance())
     }
-}
-
-fn put_cache(w: &mut Writer, snap: &CacheSnapshot) {
-    w.u64(snap.entries as u64);
-    w.u64(snap.capacity as u64);
-    w.u64(snap.hits);
-    w.u64(snap.misses);
-    w.u64(snap.evictions);
-}
-
-fn get_cache(r: &mut Reader) -> Result<CacheSnapshot, WireError> {
-    Ok(CacheSnapshot {
-        entries: r.u64()? as usize,
-        capacity: r.u64()? as usize,
-        hits: r.u64()?,
-        misses: r.u64()?,
-        evictions: r.u64()?,
-    })
-}
-
-fn put_duration(w: &mut Writer, d: Duration) {
-    w.u64(d.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn get_duration(r: &mut Reader) -> Result<Duration, WireError> {
-    Ok(Duration::from_nanos(r.u64()?))
-}
-
-fn put_report(w: &mut Writer, r: &ServiceReport) {
-    w.u64(r.frames_submitted);
-    w.u64(r.frames_completed);
-    w.u64(r.frames_rendered);
-    w.u64(r.frames_failed);
-    w.u64(r.cache_hits);
-    w.u64(r.admission_rejected);
-    w.u64(r.batches);
-    w.u64(r.batched_frames);
-    w.u64(r.jobs_popped);
-    w.u64(r.brick_stagings);
-    w.u64(r.brick_reuses);
-    put_cache(w, &r.plan_cache);
-    put_cache(w, &r.frame_cache);
-    put_duration(w, r.mean_queue_wait);
-    for bucket in r.queue_wait_hist {
-        w.u64(bucket);
-    }
-    put_duration(w, r.wall_elapsed);
-    put_duration(w, r.sim_frame_total);
-}
-
-fn get_report(r: &mut Reader) -> Result<ServiceReport, WireError> {
-    let frames_submitted = r.u64()?;
-    let frames_completed = r.u64()?;
-    let frames_rendered = r.u64()?;
-    let frames_failed = r.u64()?;
-    let cache_hits = r.u64()?;
-    let admission_rejected = r.u64()?;
-    let batches = r.u64()?;
-    let batched_frames = r.u64()?;
-    let jobs_popped = r.u64()?;
-    let brick_stagings = r.u64()?;
-    let brick_reuses = r.u64()?;
-    let plan_cache = get_cache(r)?;
-    let frame_cache = get_cache(r)?;
-    let mean_queue_wait = get_duration(r)?;
-    let mut queue_wait_hist = [0u64; WAIT_BUCKETS];
-    for bucket in &mut queue_wait_hist {
-        *bucket = r.u64()?;
-    }
-    let wall_elapsed = get_duration(r)?;
-    let sim_frame_total = get_duration(r)?;
-    Ok(ServiceReport {
-        frames_submitted,
-        frames_completed,
-        frames_rendered,
-        frames_failed,
-        cache_hits,
-        admission_rejected,
-        batches,
-        batched_frames,
-        jobs_popped,
-        brick_stagings,
-        brick_reuses,
-        plan_cache,
-        frame_cache,
-        mean_queue_wait,
-        queue_wait_hist,
-        wall_elapsed,
-        sim_frame_total,
-    })
-}
-
-fn put_heat(w: &mut Writer, h: &ShardHeat) {
-    w.u32(h.shard as u32);
-    for d in h.queue_depths {
-        w.u64(d as u64);
-    }
-    w.u64(h.frames_completed);
-    w.f64(h.frames_per_sec);
-    put_cache(w, &h.frame_cache);
-    put_cache(w, &h.plan_cache);
-    put_duration(w, h.mean_queue_wait);
-    put_duration(w, h.queue_wait_p90);
-}
-
-fn get_heat(r: &mut Reader) -> Result<ShardHeat, WireError> {
-    Ok(ShardHeat {
-        shard: r.u32()? as usize,
-        queue_depths: [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize],
-        frames_completed: r.u64()?,
-        frames_per_sec: r.f64()?,
-        frame_cache: get_cache(r)?,
-        plan_cache: get_cache(r)?,
-        mean_queue_wait: get_duration(r)?,
-        queue_wait_p90: get_duration(r)?,
-    })
 }
 
 /// Encode an [`mgpu_obs::Snapshot`] — name-keyed counters, gauges and
@@ -269,17 +169,17 @@ fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
     Ok(snap)
 }
 
-/// Encode a `STATS_REPORT` payload (STATS v2: report + shard heat + the
-/// node's observability snapshot).
+/// Encode a `STATS_REPORT` payload (wire v5): the epoch, the node
+/// snapshot, then each shard's wall time (ns) and snapshot in shard order.
 pub fn encode_stats(stats: &NetStats) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(stats.epoch);
-    put_report(&mut w, &stats.merged);
+    put_snapshot(&mut w, &stats.obs);
     w.u32(stats.shards.len() as u32);
     for h in &stats.shards {
-        put_heat(&mut w, h);
+        w.u64(u64::try_from(h.report.wall_elapsed.as_nanos()).unwrap_or(u64::MAX));
+        put_snapshot(&mut w, &h.report.snapshot);
     }
-    put_snapshot(&mut w, &stats.obs);
     w.into_bytes()
 }
 
@@ -287,20 +187,16 @@ pub fn encode_stats(stats: &NetStats) -> Vec<u8> {
 pub fn decode_stats(payload: &[u8]) -> Result<NetStats, WireError> {
     let mut r = Reader::new(payload);
     let epoch = r.u64()?;
-    let merged = get_report(&mut r)?;
-    let n = r.count(1)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(get_heat(&mut r)?);
-    }
     let obs = get_snapshot(&mut r)?;
+    // Each shard is at least its wall time plus three empty section counts.
+    let n = r.count(8 + 3 * 4)?;
+    let mut shard_reports = Vec::with_capacity(n);
+    for _ in 0..n {
+        let wall = std::time::Duration::from_nanos(r.u64()?);
+        shard_reports.push(ServiceReport::from_snapshot(get_snapshot(&mut r)?, wall));
+    }
     r.finish()?;
-    Ok(NetStats {
-        epoch,
-        merged,
-        shards,
-        obs,
-    })
+    Ok(NetStats::new(epoch, obs, shard_reports))
 }
 
 #[cfg(test)]
@@ -308,55 +204,28 @@ mod tests {
     use super::*;
     use mgpu_obs::names;
 
-    fn sample_heat(shard: usize, frames: u64) -> ShardHeat {
-        ShardHeat {
-            shard,
-            queue_depths: [1, 2, 0],
-            frames_completed: frames,
-            frames_per_sec: frames as f64 * 1.5,
-            frame_cache: CacheSnapshot {
-                entries: 3,
-                capacity: 64,
-                hits: 5,
-                misses: 9,
-                evictions: 0,
-            },
-            plan_cache: CacheSnapshot {
-                entries: 1,
-                capacity: 8,
-                hits: 2,
-                misses: 1,
-                evictions: 0,
-            },
-            mean_queue_wait: Duration::from_micros(840),
-            queue_wait_p90: Duration::from_millis(3),
-        }
+    /// A shard snapshot shaped like a service registry's export.
+    fn shard_report(frames: u64) -> ServiceReport {
+        let mut snap = Snapshot::new();
+        snap.add_counter(names::SERVE_FRAMES_COMPLETED, frames);
+        snap.add_counter(names::SERVE_FRAMES_RENDERED, frames - 2);
+        snap.add_counter(names::SERVE_FRAME_CACHE_HITS, 2);
+        snap.add_gauge(names::SERVE_FRAME_CACHE_ENTRIES, 3);
+        snap.add_gauge(names::SERVE_FRAME_CACHE_CAPACITY, 64);
+        snap.add_gauge(names::SERVE_QUEUE_DEPTH_NORMAL, 2);
+        let mut buckets = [0u64; HIST_BUCKETS];
+        buckets[12] = frames;
+        buckets[HIST_BUCKETS - 1] = 1;
+        snap.add_histogram(names::SERVE_QUEUE_WAIT_NS, &buckets);
+        ServiceReport::from_snapshot(snap, std::time::Duration::from_millis(1500 + frames))
     }
 
     fn sample_stats() -> NetStats {
-        let mut merged = ServiceReport::merged([]);
-        merged.frames_submitted = 24;
-        merged.frames_completed = 24;
-        merged.frames_rendered = 20;
-        merged.cache_hits = 4;
-        merged.jobs_popped = 20;
-        merged.queue_wait_hist[12] = 20;
-        merged.mean_queue_wait = Duration::from_micros(900);
-        merged.wall_elapsed = Duration::from_secs(2);
         let mut obs = Snapshot::new();
         obs.add_counter(names::NET_FRAMES_IN, 24);
         obs.add_counter(names::SERVE_FRAMES_RENDERED, 20);
-        obs.add_gauge(names::SERVE_QUEUE_DEPTH, -1); // negative survives the cast
-        let mut buckets = [0u64; HIST_BUCKETS];
-        buckets[12] = 20;
-        buckets[HIST_BUCKETS - 1] = 1;
-        obs.add_histogram(names::SERVE_QUEUE_WAIT_NS, &buckets);
-        NetStats {
-            epoch: 7,
-            merged,
-            shards: vec![sample_heat(0, 18), sample_heat(1, 6)],
-            obs,
-        }
+        obs.add_gauge(names::NET_CONNECTIONS, -1); // negative survives the cast
+        NetStats::new(7, obs, vec![shard_report(18), shard_report(6)])
     }
 
     #[test]
@@ -364,6 +233,13 @@ mod tests {
         let stats = sample_stats();
         let decoded = decode_stats(&encode_stats(&stats)).unwrap();
         assert_eq!(decoded, stats);
+        // The merged report is rebuilt from the shard snapshots: shard
+        // counters sum to it, and wall time merges as the maximum.
+        assert_eq!(decoded.merged.frames_completed, 24);
+        assert_eq!(decoded.merged.queue_depths, [0, 4, 0]);
+        assert_eq!(decoded.merged.wall_elapsed.as_millis(), 1518);
+        assert_eq!(decoded.shards[1].shard, 1);
+        assert_eq!(decoded.shards[1].queue_depth(), 2);
     }
 
     #[test]
@@ -395,12 +271,7 @@ mod tests {
         assert_eq!(stats.hottest().unwrap().shard, 0);
         // max 18, mean 12 → 1.5
         assert!((stats.imbalance() - 1.5).abs() < 1e-12);
-        let empty = NetStats {
-            epoch: 0,
-            merged: ServiceReport::merged([]),
-            shards: vec![],
-            obs: Snapshot::new(),
-        };
+        let empty = NetStats::new(0, Snapshot::new(), vec![]);
         assert_eq!(empty.imbalance(), 1.0);
         assert!(empty.hottest().is_none());
         // The display table renders without panicking.

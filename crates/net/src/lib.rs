@@ -45,12 +45,14 @@
 //! * **Rate limiting** — [`ratelimit`]: a per-session token bucket at the
 //!   server door, ahead of admission control; throttled requests carry an
 //!   exact retry-after.
-//! * **Heat + observability** — [`heat`]: the `STATS` request (v2)
-//!   returns the merged [`mgpu_serve::ServiceReport`], per-shard
-//!   [`mgpu_serve::ShardHeat`] (queue depth, frames/sec, cache occupancy)
-//!   *and* the server's [`mgpu_obs::Snapshot`] — `net.*` wire metrics
-//!   merged with the global `serve.*`/`volren.*` registry, in a canonical
-//!   sorted-key wire form that re-encodes bit-exactly. The `TRACES`
+//! * **Heat + observability** — [`heat`]: the `STATS` reply (reshaped in
+//!   v5) carries the directory epoch, the node's [`mgpu_obs::Snapshot`]
+//!   (the server's `net.*` registry, every shard's `serve.*` registry and
+//!   the process-global `volren.*`/`pool.*` metrics) and one snapshot per
+//!   shard, in a canonical sorted-key wire form that re-encodes
+//!   bit-exactly. The client rebuilds per-shard
+//!   [`mgpu_serve::ShardHeat`] and the merged
+//!   [`mgpu_serve::ServiceReport`] from the shard snapshots. The `TRACES`
 //!   request returns the newest completed request traces (stage spans
 //!   `admit → queue → plan → stage → kernel → composite → render →
 //!   reply`, seeded from the wire `request_id`); `NodePool::obs_snapshot`

@@ -876,8 +876,8 @@ impl NodePool {
             .collect()
     }
 
-    /// One pool-wide obs snapshot: every reachable node's STATS v2
-    /// snapshot folded together. Counters, gauges and histogram buckets
+    /// One pool-wide obs snapshot: every reachable node's STATS snapshot
+    /// folded together. Counters, gauges and histogram buckets
     /// add *exactly* (no sketch error), so pool-level quantiles are as
     /// trustworthy as a single node's. Fails only when no node answers —
     /// and then names the last node that refused.

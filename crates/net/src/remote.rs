@@ -99,8 +99,9 @@ impl RemoteBackend {
         self.client.shards()
     }
 
-    /// The server's obs snapshot (STATS v2): merged `net.*` / `serve.*` /
-    /// `volren.*` metrics, mergeable across nodes.
+    /// The server's obs snapshot from STATS: its `net.*`, its shards'
+    /// `serve.*` and the process-global `volren.*`/`pool.*` metrics,
+    /// mergeable across nodes.
     pub fn obs_snapshot(&self) -> Result<mgpu_obs::Snapshot, ClientError> {
         self.client.stats().map(|stats| stats.obs)
     }

@@ -582,7 +582,8 @@ struct Shared {
     /// Per-*server-instance* metrics (`net.*`): wakeups and traffic must
     /// not mix across servers sharing a process (the idle-wakeup test runs
     /// next to busy servers), so these live here rather than in the
-    /// process-global registry. `STATS` merges both into one snapshot.
+    /// process-global registry. `STATS` merges this, the shards' own
+    /// registries and the process-global one into one snapshot.
     obs: Registry,
     /// Times the event loop's `poll` returned — the "CPU wakeups" an idle
     /// server costs. A sleep-polling loop burns hundreds per second; this
@@ -745,24 +746,22 @@ impl Drop for RenderServer {
     }
 }
 
-/// One coherent stats snapshot (heat and merged report derive from the
-/// same per-shard reports, so shard counters sum to the merged counters
-/// even under live traffic). The obs snapshot is the server's private
-/// `net.*` registry merged with the process-global one (`serve.*`,
-/// `volren.*`) — STATS v2 carries the union.
+/// One coherent stats snapshot: each shard's registry is read once, and
+/// both the merged report and the node snapshot's `serve.*` part are sums
+/// of exactly those shard snapshots, so they agree even under live
+/// traffic. The node snapshot adds the server's private `net.*` registry
+/// and the process-global `volren.*`/`pool.*` metrics.
 fn net_stats(shared: &Shared) -> NetStats {
-    let (shards, merged) = shared.sharded.heat_and_merged();
+    let shards = shared.sharded.shard_reports();
     let mut obs = shared.obs.snapshot();
     obs.merge(&mgpu_obs::global().snapshot());
-    NetStats {
-        // SeqCst: a STATS reply must never echo an epoch older than a
-        // drain/resume transition the same observer already saw — epoch
-        // and the draining flag share one total order.
-        epoch: shared.epoch.load(Ordering::SeqCst),
-        merged,
-        shards,
-        obs,
+    for shard in &shards {
+        obs.merge(&shard.snapshot);
     }
+    // SeqCst: a STATS reply must never echo an epoch older than a
+    // drain/resume transition the same observer already saw — epoch and
+    // the draining flag share one total order.
+    NetStats::new(shared.epoch.load(Ordering::SeqCst), obs, shards)
 }
 
 // ---------------------------------------------------------------------------

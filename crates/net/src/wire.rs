@@ -69,8 +69,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"MGPU");
 /// multiplexes many in-flight renders over one connection; v4 added the
 /// elastic-pool control opcodes ([`opcode::DRAIN`] / [`opcode::RESUME`] /
 /// [`opcode::PREWARM`] and their replies) and the directory epoch carried
-/// by the `STATS` payload.
-pub const VERSION: u16 = 4;
+/// by the `STATS` payload; v5 reshaped the `STATS_REPORT` payload into
+/// the epoch, the node snapshot and one snapshot per shard (see
+/// [`crate::heat::encode_stats`]).
+pub const VERSION: u16 = 5;
 /// Frame header bytes: magic + version + opcode + length.
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 /// Fixed-size frame prelude: the header plus the 8-byte request id. A
@@ -88,6 +90,7 @@ pub mod opcode {
     pub const RENDER: u8 = 0x02;
     pub const SUBMIT: u8 = 0x03;
     pub const REDEEM: u8 = 0x04;
+    /// Ask for the node's accounting; answered with [`STATS_REPORT`].
     pub const STATS: u8 = 0x05;
     /// Fetch the last N completed request traces from the server's trace
     /// ring; payload is the maximum count as a u32.
@@ -115,6 +118,8 @@ pub mod opcode {
     pub const REJECTED: u8 = 0x84;
     pub const THROTTLED: u8 = 0x85;
     pub const FAILED: u8 = 0x86;
+    /// Reply to [`STATS`]: the directory epoch, the node's obs snapshot
+    /// and one `(wall time, snapshot)` pair per shard. Reshaped in v5.
     pub const STATS_REPORT: u8 = 0x87;
     /// Per-session ticket table is full: redeem before submitting more.
     pub const TICKETS_FULL: u8 = 0x88;
@@ -265,10 +270,6 @@ impl Writer {
         self.u32(v.to_bits());
     }
 
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
@@ -324,10 +325,6 @@ impl<'a> Reader<'a> {
 
     pub fn f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_bits(self.u32()?))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// A length-prefixed count that more bytes must follow for: bounded by

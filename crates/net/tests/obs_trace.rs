@@ -1,13 +1,14 @@
 //! End-to-end observability through a two-node [`NodePool`]: a pipelined
 //! render must leave a retrievable trace whose stage spans cover the whole
 //! pipeline (queue → plan → stage → render → reply) with monotone
-//! timestamps, and the pool-wide STATS v2 snapshot must survive the wire
-//! bit-exactly (sorted keys make re-encoding canonical).
+//! timestamps, the pool-wide STATS snapshot must survive the wire
+//! bit-exactly (sorted keys make re-encoding canonical), and each node's
+//! snapshot must count that node's work and nobody else's.
 
 use mgpu_net::heat::{decode_snapshot, encode_snapshot};
 use mgpu_net::{Directory, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig};
-use mgpu_obs::CompletedTrace;
-use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
+use mgpu_obs::{names, CompletedTrace, Snapshot};
+use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig, ServiceReport};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
 use mgpu_volren::{RenderConfig, TransferFunction};
@@ -116,7 +117,7 @@ fn pool_render_leaves_a_full_pipeline_trace_on_some_node() {
     b.shutdown();
 }
 
-/// STATS v2 is bit-exact on the wire: the pool-merged registry snapshot
+/// STATS is bit-exact on the wire: the pool-merged registry snapshot
 /// re-encodes to the same bytes after a decode round trip (sorted keys
 /// make the encoding canonical), and the decode reproduces the snapshot.
 #[test]
@@ -155,6 +156,71 @@ fn pool_merged_snapshot_roundtrips_bit_exactly() {
         bytes,
         "re-encoding is bit-exact (canonical sorted-key form)"
     );
+
+    a.shutdown();
+    b.shutdown();
+}
+
+/// The `serve.*` counters a snapshot holds must equal the typed report
+/// built beside it.
+fn assert_serve_counters_match(snap: &Snapshot, report: &ServiceReport, who: &str) {
+    for (name, typed) in [
+        (names::SERVE_FRAMES_SUBMITTED, report.frames_submitted),
+        (names::SERVE_FRAMES_COMPLETED, report.frames_completed),
+        (names::SERVE_FRAMES_RENDERED, report.frames_rendered),
+        (names::SERVE_FRAMES_FAILED, report.frames_failed),
+        (names::SERVE_FRAME_CACHE_HITS, report.cache_hits),
+        (names::SERVE_PLAN_CACHE_HITS, report.plan_cache.hits),
+        (names::SERVE_PLAN_CACHE_MISSES, report.plan_cache.misses),
+        (names::SERVE_ADMISSION_REJECTED, report.admission_rejected),
+        (names::SERVE_BATCHES, report.batches),
+        (names::SERVE_BRICK_STAGINGS, report.brick_stagings),
+        (names::SERVE_BRICK_REUSES, report.brick_reuses),
+    ] {
+        assert_eq!(snap.counter(name).unwrap_or(0), typed, "{who}: {name}");
+    }
+}
+
+/// One accounting source: two servers in one process each count only
+/// their own frames. Every request shares one batch key, so the pool
+/// sends all 16 renders to one node and the other renders nothing. The
+/// idle node's STATS snapshot must not count its neighbour's work, each
+/// node's snapshot must agree with its own merged report, and the
+/// pool-wide snapshot must agree with the pool-wide report.
+#[test]
+fn idle_node_snapshot_counts_none_of_its_neighbours_frames() {
+    let (a, b) = (server(), server());
+    let pool = NodePool::new(
+        Directory::new(vec![a.addr(), b.addr()]).expect("two-node directory"),
+        NodePoolConfig::default(),
+    );
+    let busy = pool.node_for(&request(0.0));
+    for view in 0..16 {
+        RenderBackend::render(&pool, request(200.0 + view as f32 * 7.0)).expect("pool render");
+    }
+
+    let stats: Vec<_> = pool
+        .node_stats()
+        .into_iter()
+        .map(|node| node.expect("node stats reachable"))
+        .collect();
+    assert_eq!(stats[busy].merged.frames_completed, 16);
+    assert_eq!(
+        stats[1 - busy]
+            .obs
+            .counter(names::SERVE_FRAMES_COMPLETED)
+            .unwrap_or(0),
+        0,
+        "the idle node must not count the busy node's frames"
+    );
+    for (node, node_stats) in stats.iter().enumerate() {
+        assert_serve_counters_match(&node_stats.obs, &node_stats.merged, &format!("node {node}"));
+    }
+
+    let report = pool.report().expect("pool report");
+    assert_eq!(report.frames_completed, 16);
+    let merged = pool.obs_snapshot().expect("pool-wide snapshot");
+    assert_serve_counters_match(&merged, &report, "pool");
 
     a.shutdown();
     b.shutdown();

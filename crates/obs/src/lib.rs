@@ -11,15 +11,15 @@
 //! * **Metrics** — [`Counter`], [`Gauge`] and a log₂-bucket [`Histogram`]
 //!   (the generalization of serve's old `WaitHistogram`), all plain
 //!   relaxed atomics: recording is one `fetch_add`, never a lock. Metrics
-//!   live either as struct fields (a service's private stats) or in a
-//!   [`Registry`] — a name → metric table whose registration is a one-time
-//!   get-or-create under a short mutex; call sites cache the returned
-//!   `Arc` and the hot path touches only the atomic. [`Registry::snapshot`]
+//!   live in a [`Registry`] — a name → metric table whose registration is
+//!   a one-time get-or-create under a short mutex; call sites cache the
+//!   returned `Arc` and the hot path touches only the atomic. [`Registry::snapshot`]
 //!   freezes every registered metric into a [`Snapshot`]: stable-sorted
 //!   keys, exact cross-node [`Snapshot::merge`] (counters and buckets
-//!   add), and [`Snapshot::to_json`] for the bench artifacts. The
-//!   process-wide [`global()`] registry is what the `STATS` v2 wire
-//!   payload ships.
+//!   add), and [`Snapshot::to_json`] for the bench artifacts. Each render
+//!   service and each server owns its registry; only `volren.*` and
+//!   `pool.*` still record into the process-wide [`global()`] one. The
+//!   `STATS` reply ships the merge of all three.
 //! * **Tracing** — a [`trace::Trace`] is one request's span list:
 //!   [`trace::SpanGuard`]s (or explicit [`trace::Trace::record`] calls)
 //!   stamp named stages — admit, queue, plan, stage, kernel, composite,

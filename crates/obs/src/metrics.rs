@@ -1,6 +1,6 @@
 //! The metrics half: atomic counter/gauge/histogram primitives, the
 //! name → metric [`Registry`], and the mergeable [`Snapshot`] every export
-//! surface (STATS v2, `BENCH_obs.json`, the `obs_top` dashboard) is built
+//! surface (STATS, `BENCH_obs.json`, the `obs_top` dashboard) is built
 //! from.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -310,9 +310,9 @@ fn get_or_insert<T: Default>(
 /// the same metric, so independent call sites share one counter by naming
 /// it identically.
 ///
-/// Registries are values: the process-wide [`global()`] one feeds STATS
-/// v2, while a server can own a private registry for metrics that must
-/// not mix across instances (per-server wakeups under test).
+/// Registries are values: each render service and each server owns one,
+/// so their metrics never mix across instances in one process; the
+/// process-wide [`global()`] one remains for what has no owner yet.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
@@ -361,9 +361,10 @@ impl Registry {
     }
 }
 
-/// The process-wide registry: what serve and volren record into, and what
-/// the STATS v2 payload snapshots. Metrics here aggregate across every
-/// service instance in the process — exactly what a per-node export wants.
+/// The process-wide registry: what the renderer (`volren.*`) and the pool
+/// controller (`pool.*`) record into. Metrics here aggregate across every
+/// server in the process, so two servers sharing a process both report
+/// them in their STATS snapshots.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

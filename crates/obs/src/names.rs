@@ -58,42 +58,63 @@ pub const POOL_REBALANCE_MIGRATIONS: &str = "pool.rebalance.migrations";
 /// PREWARMs issued ahead of a migration cutover.
 pub const POOL_REBALANCE_PREWARMS: &str = "pool.rebalance.prewarms";
 
-// --- serve.* — the render service (process-global) ----------------------
+// --- serve.* — the render service (one registry per service) ----------
 
 /// Frames accepted into the queue (submit or render).
 pub const SERVE_FRAMES_SUBMITTED: &str = "serve.frames_submitted";
-/// Frames answered (rendered, cache-replayed, or failed).
+/// Frames answered (rendered or cache-replayed).
 pub const SERVE_FRAMES_COMPLETED: &str = "serve.frames_completed";
 /// Frames that went through a real render (cache misses).
 pub const SERVE_FRAMES_RENDERED: &str = "serve.frames_rendered";
 /// Frames that returned a `FrameError` ticket.
 pub const SERVE_FRAMES_FAILED: &str = "serve.frames_failed";
-/// Frame-cache hits (bit-identical replays).
+/// Frame-cache hits: submit-side lookups plus the worker's coalescing
+/// re-check (bit-identical replays).
 pub const SERVE_FRAME_CACHE_HITS: &str = "serve.frame_cache_hits";
-/// Frame-cache misses.
+/// Submit-side frame-cache lookups that missed (a disabled cache counts
+/// none).
 pub const SERVE_FRAME_CACHE_MISSES: &str = "serve.frame_cache_misses";
-/// Cross-batch plan-cache hits (bricking + warm store reused).
+/// Frames evicted from the frame cache.
+pub const SERVE_FRAME_CACHE_EVICTIONS: &str = "serve.frame_cache_evictions";
+/// Frames resident in the frame cache (gauge).
+pub const SERVE_FRAME_CACHE_ENTRIES: &str = "serve.frame_cache_entries";
+/// Configured frame-cache bound in frames (gauge).
+pub const SERVE_FRAME_CACHE_CAPACITY: &str = "serve.frame_cache_capacity";
+/// Plan-cache lookups answered by a resident plan (worker batches and
+/// prewarms alike).
 pub const SERVE_PLAN_CACHE_HITS: &str = "serve.plan_cache_hits";
-/// Plan-cache misses (plan prepared from scratch).
+/// Plan-cache lookups that found no plan.
 pub const SERVE_PLAN_CACHE_MISSES: &str = "serve.plan_cache_misses";
+/// Plans evicted from the plan cache.
+pub const SERVE_PLAN_CACHE_EVICTIONS: &str = "serve.plan_cache_evictions";
+/// Plans resident in the plan cache (gauge).
+pub const SERVE_PLAN_CACHE_ENTRIES: &str = "serve.plan_cache_entries";
+/// Configured plan-cache bound in plans (gauge).
+pub const SERVE_PLAN_CACHE_CAPACITY: &str = "serve.plan_cache_capacity";
 /// Submissions shed by admission control (queue bounds).
 pub const SERVE_ADMISSION_REJECTED: &str = "serve.admission_rejected";
-/// Same-key batches executed.
+/// Same-key batches executed. Every rendered frame belongs to exactly one
+/// batch, so `frames_rendered / batches` is the batch occupancy.
 pub const SERVE_BATCHES: &str = "serve.batches";
-/// Frames coalesced into those batches.
-pub const SERVE_BATCHED_FRAMES: &str = "serve.batched_frames";
-/// Queue pops by workers (batch leaders + coalesced jobs).
-pub const SERVE_JOBS_POPPED: &str = "serve.jobs_popped";
 /// Bricks staged into a brick store (cold).
 pub const SERVE_BRICK_STAGINGS: &str = "serve.brick_stagings";
 /// Brick stagings avoided by the shared store (warm).
 pub const SERVE_BRICK_REUSES: &str = "serve.brick_reuses";
 /// Plans built by the PREWARM worker off the hot path.
 pub const SERVE_PLAN_PREWARMS: &str = "serve.plan_prewarms";
-/// Queue depth right now (gauge).
-pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Submit → worker-pop wait per frame (histogram, ns).
+/// Queued `Batch`-class jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_BATCH: &str = "serve.queue_depth.batch";
+/// Queued `Normal`-class jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_NORMAL: &str = "serve.queue_depth.normal";
+/// Queued `Interactive`-class jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_INTERACTIVE: &str = "serve.queue_depth.interactive";
+/// Submit → worker-pop wait per job (histogram, ns). Its sample count is
+/// the number of jobs workers popped.
 pub const SERVE_QUEUE_WAIT_NS: &str = "serve.queue_wait_ns";
+/// Sum of every popped job's queue wait, ns — the exact mean's numerator.
+pub const SERVE_QUEUE_WAIT_TOTAL_NS: &str = "serve.queue_wait_total_ns";
+/// Sum of rendered frames' simulated (DES makespan) runtimes, ns.
+pub const SERVE_SIM_FRAME_TOTAL_NS: &str = "serve.sim_frame_total_ns";
 /// FramePlan::prepare wall time (histogram, ns).
 pub const SERVE_PLAN_PREPARE_NS: &str = "serve.plan_prepare_ns";
 /// Full render call wall time (histogram, ns).
@@ -105,9 +126,11 @@ pub const SERVE_RENDER_NS: &str = "serve.render_ns";
 pub const VOLREN_STAGING_NS: &str = "volren.staging_ns";
 /// Frame-plan preparation wall time (histogram, ns).
 pub const VOLREN_PLAN_PREPARE_NS: &str = "volren.plan_prepare_ns";
-/// Map/ray-cast kernel wall time per frame (histogram, ns).
+/// `run_job` wall time per frame — map, partition, sort and reduce
+/// (histogram, ns).
 pub const VOLREN_KERNEL_NS: &str = "volren.kernel_ns";
-/// Compositing reduce wall time per frame (histogram, ns).
+/// DES trace build, simulate and account plus `stitch`, per frame
+/// (histogram, ns).
 pub const VOLREN_COMPOSITE_NS: &str = "volren.composite_ns";
 /// 16×16 blocks launched through the batched kernel API.
 pub const VOLREN_KERNEL_BLOCKS: &str = "volren.kernel.blocks";

@@ -15,7 +15,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
+use mgpu_obs::Counter;
 use parking_lot::Mutex;
 
 use mgpu_cluster::ClusterSpec;
@@ -55,9 +57,16 @@ struct CacheInner<K, V> {
     /// always the LRU victim. Kept in lockstep with `entries`.
     recency: BTreeSet<(u64, K)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+}
+
+/// Where an [`LruCache`] counts its lookups and evictions. The default is
+/// standalone counters; a service hands in its own registry's
+/// `serve.*_cache_*` handles, so the cache's counts *are* those metrics.
+#[derive(Debug, Clone, Default)]
+pub struct CacheCounters {
+    pub hits: Arc<Counter>,
+    pub misses: Arc<Counter>,
+    pub evictions: Arc<Counter>,
 }
 
 /// Point-in-time cache counters. `entries`/`capacity` give the occupancy
@@ -99,6 +108,7 @@ impl CacheSnapshot {
 pub struct LruCache<K, V> {
     capacity: usize,
     inner: Mutex<CacheInner<K, V>>,
+    counters: CacheCounters,
 }
 
 /// The service's cache of rendered frames (stores [`crate::RenderedFrame`]).
@@ -106,16 +116,19 @@ pub type FrameCache<V> = LruCache<FrameKey, V>;
 
 impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
     pub fn new(capacity: usize) -> LruCache<K, V> {
+        LruCache::with_counters(capacity, CacheCounters::default())
+    }
+
+    /// A cache that counts into the given handles.
+    pub fn with_counters(capacity: usize, counters: CacheCounters) -> LruCache<K, V> {
         LruCache {
             capacity,
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
                 recency: BTreeSet::new(),
                 tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
             }),
+            counters,
         }
     }
 
@@ -135,7 +148,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
 
     /// Monotonic hit counter (lookups answered from the cache).
     pub fn hits(&self) -> u64 {
-        self.inner.lock().hits
+        self.counters.hits.get()
     }
 
     /// Look up an entry, refreshing its recency on hit.
@@ -164,12 +177,12 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
                 inner.recency.remove(&(*last, key.clone()));
                 inner.recency.insert((tick, key.clone()));
                 *last = tick;
-                inner.hits += 1;
+                self.counters.hits.inc();
                 Some(value.clone())
             }
             None => {
                 if count_miss {
-                    inner.misses += 1;
+                    self.counters.misses.inc();
                 }
                 None
             }
@@ -194,7 +207,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
             match inner.recency.pop_first() {
                 Some((_, victim)) => {
                     inner.entries.remove(&victim);
-                    inner.evictions += 1;
+                    self.counters.evictions.inc();
                 }
                 None => break,
             }
@@ -202,13 +215,12 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
     }
 
     pub fn snapshot(&self) -> CacheSnapshot {
-        let inner = self.inner.lock();
         CacheSnapshot {
-            entries: inner.entries.len(),
+            entries: self.len(),
             capacity: self.capacity,
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            evictions: self.counters.evictions.get(),
         }
     }
 

@@ -47,9 +47,11 @@
 //!   ([`backend::BackendError`]) and frame type ([`backend::BackendFrame`])
 //!   — callers written against it move from one GPU to a cluster of render
 //!   nodes without a rewrite.
-//! * **Accounting** — [`report::ServiceReport`]: queue latency, batch
-//!   occupancy, cache and plan-cache hit rates, staging reuse, admission
-//!   rejections, failed frames, frames/sec — alongside the per-frame
+//! * **Accounting** — each service owns one [`mgpu_obs::Registry`] that
+//!   every `serve.*` event is recorded into once; [`report::ServiceReport`]
+//!   is a typed view of its snapshot: queue latency, batch occupancy, cache
+//!   and plan-cache hit rates, staging reuse, admission rejections, failed
+//!   frames, frames/sec — alongside the per-frame
 //!   [`mgpu_volren::RenderReport`] each ticket carries.
 //!
 //! Determinism: a frame rendered through the service is bit-identical to a
@@ -64,8 +66,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver};
-use mgpu_obs::names;
-use mgpu_obs::Trace;
+use mgpu_obs::{Snapshot, Trace};
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
@@ -85,14 +86,14 @@ mod worker;
 
 pub use backend::{BackendError, BackendFrame, RenderBackend};
 pub use batch::BatchKey;
-pub use cache::{CacheSnapshot, FrameCache, FrameKey};
+pub use cache::{CacheCounters, CacheSnapshot, FrameCache, FrameKey};
 pub use plancache::PlanCache;
 pub use queue::{AdmissionError, Priority, QueueBounds, Reply};
-pub use report::{ServiceReport, WAIT_BUCKETS};
+pub use report::ServiceReport;
 pub use session::{SceneSession, SessionTicket};
 pub use shard::{ShardHeat, ShardedService};
 
-use report::ServiceStats;
+use report::ServiceMetrics;
 
 /// A fresh trace for a request submitted through the local API (no wire
 /// `request_id` to inherit). The top bit is set so locally minted ids never
@@ -255,7 +256,7 @@ pub(crate) struct ServiceInner {
     pub(crate) queue: queue::JobQueue,
     pub(crate) cache: FrameCache<RenderedFrame>,
     pub(crate) plans: PlanCache,
-    pub(crate) stats: ServiceStats,
+    pub(crate) metrics: ServiceMetrics,
     pub(crate) started: Instant,
 }
 
@@ -272,30 +273,18 @@ impl ServiceInner {
         );
         self.cache.get(&key).map(|mut frame| {
             frame.from_cache = true;
-            self.bump_cache_hit();
+            self.count_cached_submit();
             let (tx, rx) = bounded(1);
             tx.send(Ok(frame)).expect("fresh ticket channel");
             FrameTicket { rx, seq: None }
         })
     }
 
-    /// Counter bumps shared by both cache fast paths: the per-instance
-    /// stats and their process-global obs mirrors move in lockstep.
-    fn bump_cache_hit(&self) {
-        ServiceStats::bump(&self.stats.frames_submitted);
-        ServiceStats::bump(&self.stats.cache_hits);
-        ServiceStats::bump(&self.stats.frames_completed);
-        self.stats.obs.frames_submitted.inc();
-        self.stats.obs.frame_cache_hits.inc();
-        self.stats.obs.frames_completed.inc();
-    }
-
-    /// Counter bumps for a request the frame cache could not answer and the
-    /// queue accepted.
-    fn bump_queued_submit(&self) {
-        ServiceStats::bump(&self.stats.frames_submitted);
-        self.stats.obs.frames_submitted.inc();
-        self.stats.obs.frame_cache_misses.inc();
+    /// Counts shared by both cache fast paths (the frame cache itself
+    /// counted the hit).
+    fn count_cached_submit(&self) {
+        self.metrics.frames_submitted.inc();
+        self.metrics.frames_completed.inc();
     }
 
     fn assert_open(&self) {
@@ -320,7 +309,7 @@ impl ServiceInner {
         );
         self.cache.get(&key).map(|mut frame| {
             frame.from_cache = true;
-            self.bump_cache_hit();
+            self.count_cached_submit();
             frame
         })
     }
@@ -335,7 +324,7 @@ impl ServiceInner {
         let seq = self
             .queue
             .push(request, batch_key, queue::Reply::channel(tx), local_trace());
-        self.bump_queued_submit();
+        self.metrics.frames_submitted.inc();
         FrameTicket { rx, seq: Some(seq) }
     }
 
@@ -354,13 +343,12 @@ impl ServiceInner {
             .try_push(request, batch_key, queue::Reply::channel(tx), local_trace())
         {
             Ok(seq) => {
-                self.bump_queued_submit();
+                self.metrics.frames_submitted.inc();
                 Ok(FrameTicket { rx, seq: Some(seq) })
             }
             Err((err, reply)) => {
                 reply.cancel();
-                ServiceStats::bump(&self.stats.admission_rejected);
-                self.stats.obs.admission_rejected.inc();
+                self.metrics.admission_rejected.inc();
                 Err(err)
             }
         }
@@ -391,25 +379,31 @@ impl ServiceInner {
         let batch_key = BatchKey::of(&request);
         match self.queue.try_push(request, batch_key, reply, trace) {
             Ok(_) => {
-                self.bump_queued_submit();
+                self.metrics.frames_submitted.inc();
                 Ok(())
             }
             Err((err, reply)) => {
                 reply.cancel();
-                ServiceStats::bump(&self.stats.admission_rejected);
-                self.stats.obs.admission_rejected.inc();
+                self.metrics.admission_rejected.inc();
                 Err(err)
             }
         }
     }
 
+    /// Sample the gauges, then freeze the service's registry.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        let m = &self.metrics;
+        for (gauge, depth) in m.queue_depths.iter().zip(self.queue.depths()) {
+            gauge.set(depth as i64);
+        }
+        m.frame_cache_entries.set(self.cache.len() as i64);
+        m.plan_cache_entries
+            .set(self.plans.snapshot().entries as i64);
+        m.registry.snapshot()
+    }
+
     pub(crate) fn report(&self) -> ServiceReport {
-        ServiceReport::from_stats(
-            &self.stats,
-            self.plans.snapshot(),
-            self.cache.snapshot(),
-            self.started.elapsed(),
-        )
+        ServiceReport::from_snapshot(self.snapshot(), self.started.elapsed())
     }
 }
 
@@ -427,11 +421,12 @@ impl RenderService {
         assert!(config.workers >= 1, "service needs at least one worker");
         assert!(config.max_batch >= 1, "max_batch of 0 would render nothing");
         config.queue_bounds.validate();
+        let metrics = ServiceMetrics::new(config.cache_frames, config.plan_cache_plans);
         let inner = Arc::new(ServiceInner {
             queue: queue::JobQueue::new(config.start_paused, config.queue_bounds),
-            cache: FrameCache::new(config.cache_frames),
-            plans: PlanCache::new(config.plan_cache_plans),
-            stats: ServiceStats::default(),
+            cache: FrameCache::with_counters(config.cache_frames, metrics.frame_cache.clone()),
+            plans: PlanCache::with_counters(config.plan_cache_plans, metrics.plan_cache.clone()),
+            metrics,
             started: Instant::now(),
             config,
         });
@@ -511,19 +506,17 @@ impl RenderService {
         self.inner.queue.depths()
     }
 
-    /// Point-in-time service accounting.
+    /// Point-in-time service accounting: a typed view of
+    /// [`RenderService::snapshot`].
     pub fn report(&self) -> ServiceReport {
         self.inner.report()
     }
 
-    /// Frame-cache counters.
-    pub fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache.snapshot()
-    }
-
-    /// Cross-batch plan-cache counters.
-    pub fn plan_snapshot(&self) -> CacheSnapshot {
-        self.inner.plans.snapshot()
+    /// This service's own metrics registry, frozen: every `serve.*`
+    /// counter, gauge and histogram it has recorded, and nothing any other
+    /// service recorded.
+    pub fn snapshot(&self) -> Snapshot {
+        self.inner.snapshot()
     }
 
     /// Populate the plan cache for `request`'s [`BatchKey`] off the hot
@@ -542,7 +535,7 @@ impl RenderService {
             &request.config,
         ));
         self.inner.plans.insert(key, plan);
-        mgpu_obs::global().counter(names::SERVE_PLAN_PREWARMS).inc();
+        self.inner.metrics.plan_prewarms.inc();
         true
     }
 

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use mgpu_volren::renderer::FramePlan;
 
 use crate::batch::BatchKey;
-use crate::cache::{CacheSnapshot, LruCache};
+use crate::cache::{CacheCounters, CacheSnapshot, LruCache};
 
 /// Bounded LRU over shared frame plans. `capacity` is in plans; zero
 /// disables cross-batch reuse (every batch builds its own plan, PR 2
@@ -44,8 +44,13 @@ const _: fn() = || {
 
 impl PlanCache {
     pub fn new(capacity: usize) -> PlanCache {
+        PlanCache::with_counters(capacity, CacheCounters::default())
+    }
+
+    /// A plan cache that counts into the given handles.
+    pub fn with_counters(capacity: usize, counters: CacheCounters) -> PlanCache {
         PlanCache {
-            lru: LruCache::new(capacity),
+            lru: LruCache::with_counters(capacity, counters),
         }
     }
 

@@ -24,8 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
-use mgpu_obs::names;
-use mgpu_obs::{Gauge, Trace};
+use mgpu_obs::Trace;
 
 use crate::batch::BatchKey;
 use crate::{FrameError, FrameResult, SceneRequest};
@@ -260,10 +259,6 @@ pub struct JobQueue {
     /// Signalled when capacity frees up (pop/drain) or the queue closes.
     space: Condvar,
     bounds: QueueBounds,
-    /// Process-global `serve.queue_depth` gauge: incremented on enqueue,
-    /// decremented on pop/drain, so `obs_top` sees the live backlog across
-    /// every queue in the process.
-    depth_gauge: Arc<Gauge>,
 }
 
 impl JobQueue {
@@ -277,7 +272,6 @@ impl JobQueue {
             ready: Condvar::new(),
             space: Condvar::new(),
             bounds,
-            depth_gauge: mgpu_obs::global().gauge(names::SERVE_QUEUE_DEPTH),
         }
     }
 
@@ -358,7 +352,6 @@ impl JobQueue {
             reply,
             trace,
         });
-        self.depth_gauge.inc();
         self.ready.notify_one();
         seq
     }
@@ -375,7 +368,6 @@ impl JobQueue {
             if runnable {
                 if let Some(i) = state.best() {
                     let job = state.remove(i);
-                    self.depth_gauge.dec();
                     self.space.notify_all();
                     return Some(job);
                 }
@@ -409,7 +401,6 @@ impl JobQueue {
             state.depths[job.priority.index()] -= 1;
         }
         if !picked.is_empty() {
-            self.depth_gauge.add(-(picked.len() as i64));
             self.space.notify_all();
         }
         picked

@@ -1,5 +1,7 @@
-//! Service-level accounting: monotonic counters updated by the submit path
-//! and the workers, snapshotted into a [`ServiceReport`].
+//! Service-level accounting. Every service owns one [`Registry`]; every
+//! `serve.*` event is recorded exactly once into it through the handles in
+//! `ServiceMetrics`, and a [`ServiceReport`] is a typed view read out of a
+//! [`Snapshot`] of that registry by [`ServiceReport::from_snapshot`].
 //!
 //! This sits *above* the per-frame [`mgpu_volren::RenderReport`]: the frame
 //! report times one frame on the modeled cluster; the service report
@@ -7,258 +9,205 @@
 //! occupancy, cache and plan-cache hit rates, brick staging reuse, admission
 //! shedding, failures, wall-clock throughput.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mgpu_obs::names;
-use mgpu_obs::{Counter, Histogram};
+use mgpu_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 
-use crate::cache::CacheSnapshot;
+use crate::cache::{CacheCounters, CacheSnapshot};
 
-/// Number of log₂ buckets in the queue-wait histogram: bucket `i` counts
-/// waits in `[2^i, 2^(i+1))` nanoseconds. The bucketing itself now lives in
-/// [`mgpu_obs::Histogram`]; this alias keeps the serve API (and the wire
-/// heat payloads) stable.
-pub const WAIT_BUCKETS: usize = mgpu_obs::HIST_BUCKETS;
-
-/// Cached handles into the process-global [`mgpu_obs`] registry, resolved
-/// once per service instance so hot paths touch only atomics. These
-/// aggregate across every service in the process (all shards of a
-/// [`crate::ShardedService`] included) and feed the `STATS` v2 snapshot and
-/// the `obs_top` dashboard; the per-instance counters in [`ServiceStats`]
-/// remain the source for this service's own [`ServiceReport`].
+/// A service's own registry and the handles its call sites record
+/// through. The frame and plan caches count their hits, misses and
+/// evictions into `frame_cache`/`plan_cache`; the gauges are sampled when a
+/// snapshot is taken ([`crate::RenderService::snapshot`]).
 #[derive(Debug)]
-pub(crate) struct ObsHandles {
+pub(crate) struct ServiceMetrics {
+    pub registry: Registry,
     pub frames_submitted: Arc<Counter>,
     pub frames_completed: Arc<Counter>,
     pub frames_rendered: Arc<Counter>,
     pub frames_failed: Arc<Counter>,
-    pub frame_cache_hits: Arc<Counter>,
-    pub frame_cache_misses: Arc<Counter>,
-    pub plan_cache_hits: Arc<Counter>,
-    pub plan_cache_misses: Arc<Counter>,
     pub admission_rejected: Arc<Counter>,
     pub batches: Arc<Counter>,
-    pub batched_frames: Arc<Counter>,
-    pub jobs_popped: Arc<Counter>,
     pub brick_stagings: Arc<Counter>,
     pub brick_reuses: Arc<Counter>,
+    pub plan_prewarms: Arc<Counter>,
+    pub queue_wait_total_ns: Arc<Counter>,
+    pub sim_frame_total_ns: Arc<Counter>,
     pub queue_wait_ns: Arc<Histogram>,
     pub plan_prepare_ns: Arc<Histogram>,
     pub render_ns: Arc<Histogram>,
+    pub frame_cache: CacheCounters,
+    pub plan_cache: CacheCounters,
+    /// Queued jobs per class, `[batch, normal, interactive]`.
+    pub queue_depths: [Arc<Gauge>; 3],
+    pub frame_cache_entries: Arc<Gauge>,
+    pub plan_cache_entries: Arc<Gauge>,
 }
 
-impl Default for ObsHandles {
-    fn default() -> ObsHandles {
-        let reg = mgpu_obs::global();
-        ObsHandles {
+impl ServiceMetrics {
+    /// Register every `serve.*` metric in a fresh registry, so even an idle
+    /// service's snapshot names them all (at zero).
+    pub fn new(frame_cache_capacity: usize, plan_cache_capacity: usize) -> ServiceMetrics {
+        let reg = Registry::new();
+        reg.gauge(names::SERVE_FRAME_CACHE_CAPACITY)
+            .set(frame_cache_capacity as i64);
+        reg.gauge(names::SERVE_PLAN_CACHE_CAPACITY)
+            .set(plan_cache_capacity as i64);
+        ServiceMetrics {
             frames_submitted: reg.counter(names::SERVE_FRAMES_SUBMITTED),
             frames_completed: reg.counter(names::SERVE_FRAMES_COMPLETED),
             frames_rendered: reg.counter(names::SERVE_FRAMES_RENDERED),
             frames_failed: reg.counter(names::SERVE_FRAMES_FAILED),
-            frame_cache_hits: reg.counter(names::SERVE_FRAME_CACHE_HITS),
-            frame_cache_misses: reg.counter(names::SERVE_FRAME_CACHE_MISSES),
-            plan_cache_hits: reg.counter(names::SERVE_PLAN_CACHE_HITS),
-            plan_cache_misses: reg.counter(names::SERVE_PLAN_CACHE_MISSES),
             admission_rejected: reg.counter(names::SERVE_ADMISSION_REJECTED),
             batches: reg.counter(names::SERVE_BATCHES),
-            batched_frames: reg.counter(names::SERVE_BATCHED_FRAMES),
-            jobs_popped: reg.counter(names::SERVE_JOBS_POPPED),
             brick_stagings: reg.counter(names::SERVE_BRICK_STAGINGS),
             brick_reuses: reg.counter(names::SERVE_BRICK_REUSES),
+            plan_prewarms: reg.counter(names::SERVE_PLAN_PREWARMS),
+            queue_wait_total_ns: reg.counter(names::SERVE_QUEUE_WAIT_TOTAL_NS),
+            sim_frame_total_ns: reg.counter(names::SERVE_SIM_FRAME_TOTAL_NS),
             queue_wait_ns: reg.histogram(names::SERVE_QUEUE_WAIT_NS),
             plan_prepare_ns: reg.histogram(names::SERVE_PLAN_PREPARE_NS),
             render_ns: reg.histogram(names::SERVE_RENDER_NS),
+            frame_cache: CacheCounters {
+                hits: reg.counter(names::SERVE_FRAME_CACHE_HITS),
+                misses: reg.counter(names::SERVE_FRAME_CACHE_MISSES),
+                evictions: reg.counter(names::SERVE_FRAME_CACHE_EVICTIONS),
+            },
+            plan_cache: CacheCounters {
+                hits: reg.counter(names::SERVE_PLAN_CACHE_HITS),
+                misses: reg.counter(names::SERVE_PLAN_CACHE_MISSES),
+                evictions: reg.counter(names::SERVE_PLAN_CACHE_EVICTIONS),
+            },
+            queue_depths: [
+                reg.gauge(names::SERVE_QUEUE_DEPTH_BATCH),
+                reg.gauge(names::SERVE_QUEUE_DEPTH_NORMAL),
+                reg.gauge(names::SERVE_QUEUE_DEPTH_INTERACTIVE),
+            ],
+            frame_cache_entries: reg.gauge(names::SERVE_FRAME_CACHE_ENTRIES),
+            plan_cache_entries: reg.gauge(names::SERVE_PLAN_CACHE_ENTRIES),
+            registry: reg,
         }
     }
 }
 
-/// Monotonic service counters (all relaxed: they are statistics, not
-/// synchronization).
-#[derive(Debug, Default)]
-pub(crate) struct ServiceStats {
-    /// Frames accepted into the service (cache fast-path included; admission
-    /// rejections excluded).
-    pub frames_submitted: AtomicU64,
-    pub frames_completed: AtomicU64,
-    /// Frames that went through the full render pipeline.
-    pub frames_rendered: AtomicU64,
-    /// Frames that failed with a caught render panic.
-    pub frames_failed: AtomicU64,
-    /// Frames answered from the frame cache (submit-side or worker-side).
-    pub cache_hits: AtomicU64,
-    /// Submissions shed by admission control.
-    pub admission_rejected: AtomicU64,
-    pub batches: AtomicU64,
-    /// Frames rendered as part of some batch (= occupancy numerator).
-    pub batched_frames: AtomicU64,
-    /// Jobs workers pulled out of the queue (popped or batch-drained) —
-    /// the denominator for `mean_queue_wait`.
-    pub jobs_popped: AtomicU64,
-    /// Total time jobs spent queued before a worker picked them up.
-    pub queue_wait_nanos: AtomicU64,
-    /// Per-job queue-wait distribution (log₂ buckets, see
-    /// [`mgpu_obs::Histogram`]).
-    pub wait_hist: Histogram,
-    /// Bricks materialized by the shared stores (staging work actually paid).
-    pub brick_stagings: AtomicU64,
-    /// Brick fetches answered by a warm shared store (staging work avoided).
-    pub brick_reuses: AtomicU64,
-    /// Sum of simulated per-frame runtimes (DES makespans), nanoseconds.
-    pub sim_frame_nanos: AtomicU64,
-    /// Process-global observability mirrors (see [`ObsHandles`]).
-    pub obs: ObsHandles,
-}
-
-impl ServiceStats {
-    pub fn add(counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one job's queue wait: the running total (for the mean), the
-    /// histogram bucket (for the percentiles) and the process-global
-    /// `serve.queue_wait_ns` histogram stay in lockstep.
-    pub fn record_wait(&self, nanos: u64) {
-        ServiceStats::add(&self.queue_wait_nanos, nanos);
-        self.wait_hist.record(nanos);
-        self.obs.queue_wait_ns.record(nanos);
-    }
-}
-
 /// A point-in-time summary of service behaviour, alongside the per-frame
-/// `RenderReport`s the tickets deliver.
+/// `RenderReport`s the tickets deliver. Every field is read out of
+/// `snapshot` by [`ServiceReport::from_snapshot`]; wall time, which merges
+/// as a maximum rather than a sum, travels beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     pub frames_submitted: u64,
+    /// Frames answered: rendered or replayed from the frame cache.
     pub frames_completed: u64,
     pub frames_rendered: u64,
     /// Frames that resolved to an explicit [`crate::FrameError`] after a
     /// caught render panic (the worker survived).
     pub frames_failed: u64,
+    /// Frames answered from the frame cache (submit-side or worker-side);
+    /// the same count as `frame_cache.hits`.
     pub cache_hits: u64,
     /// Submissions shed by admission control (never queued).
     pub admission_rejected: u64,
     pub batches: u64,
+    /// Frames rendered as part of some batch — every rendered frame is.
     pub batched_frames: u64,
     /// Jobs that actually left the queue (rendered or coalesced).
     pub jobs_popped: u64,
     pub brick_stagings: u64,
     pub brick_reuses: u64,
-    /// Cross-batch plan cache counters (hits = batches that skipped
-    /// re-bricking and reused a warm store).
+    /// Cross-batch plan cache counters (hits = lookups that found a warm
+    /// plan, from batches and prewarms alike).
     pub plan_cache: CacheSnapshot,
-    /// Frame-cache occupancy and counters (per shard before merging;
-    /// merged reports sum entries and capacities across shards).
+    /// Frame-cache occupancy and counters (merged reports sum entries and
+    /// capacities across shards).
     pub frame_cache: CacheSnapshot,
+    /// Queued jobs per class, `[batch, normal, interactive]`, when the
+    /// snapshot was taken.
+    pub queue_depths: [usize; 3],
     /// Mean time a job waited in the queue before a worker picked it up —
     /// averaged over every popped job, coalesced cache hits included.
     pub mean_queue_wait: Duration,
-    /// Queue-wait distribution (log₂-bucket counts); see
-    /// [`ServiceReport::queue_wait_quantile`].
-    pub queue_wait_hist: [u64; WAIT_BUCKETS],
     /// Real elapsed time since the service started.
     pub wall_elapsed: Duration,
     /// Sum of simulated per-frame runtimes.
     pub sim_frame_total: Duration,
+    /// The `serve.*` snapshot every field above was read from.
+    pub snapshot: Snapshot,
 }
 
 impl ServiceReport {
-    pub(crate) fn from_stats(
-        stats: &ServiceStats,
-        plan_cache: CacheSnapshot,
-        frame_cache: CacheSnapshot,
-        wall_elapsed: Duration,
-    ) -> ServiceReport {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let waited = ld(&stats.queue_wait_nanos);
-        // Queue wait is recorded per *popped* job (rendered or coalesced);
-        // cache fast-path frames never enter the queue and are excluded.
-        let popped = ld(&stats.jobs_popped);
+    /// The one constructor: read every field out of a `serve.*` snapshot.
+    /// Names the snapshot lacks read as zero.
+    pub fn from_snapshot(snapshot: Snapshot, wall_elapsed: Duration) -> ServiceReport {
+        let count = |name: &str| snapshot.counter(name).unwrap_or(0);
+        let level = |name: &str| snapshot.gauge(name).unwrap_or(0).max(0) as usize;
+        let cache = |[hits, misses, evictions, entries, capacity]: [&str; 5]| CacheSnapshot {
+            entries: level(entries),
+            capacity: level(capacity),
+            hits: count(hits),
+            misses: count(misses),
+            evictions: count(evictions),
+        };
+        // One queue-wait sample is recorded per popped job (rendered or
+        // coalesced); cache fast-path frames never enter the queue.
+        let jobs_popped = snapshot
+            .histogram(names::SERVE_QUEUE_WAIT_NS)
+            .map_or(0, |buckets| buckets.iter().sum());
+        let waited = count(names::SERVE_QUEUE_WAIT_TOTAL_NS);
+        let frames_rendered = count(names::SERVE_FRAMES_RENDERED);
         ServiceReport {
-            frames_submitted: ld(&stats.frames_submitted),
-            frames_completed: ld(&stats.frames_completed),
-            frames_rendered: ld(&stats.frames_rendered),
-            frames_failed: ld(&stats.frames_failed),
-            cache_hits: ld(&stats.cache_hits),
-            admission_rejected: ld(&stats.admission_rejected),
-            batches: ld(&stats.batches),
-            batched_frames: ld(&stats.batched_frames),
-            jobs_popped: popped,
-            brick_stagings: ld(&stats.brick_stagings),
-            brick_reuses: ld(&stats.brick_reuses),
-            plan_cache,
-            frame_cache,
-            mean_queue_wait: Duration::from_nanos(waited.checked_div(popped).unwrap_or(0)),
-            queue_wait_hist: stats.wait_hist.load(),
+            frames_submitted: count(names::SERVE_FRAMES_SUBMITTED),
+            frames_completed: count(names::SERVE_FRAMES_COMPLETED),
+            frames_rendered,
+            frames_failed: count(names::SERVE_FRAMES_FAILED),
+            cache_hits: count(names::SERVE_FRAME_CACHE_HITS),
+            admission_rejected: count(names::SERVE_ADMISSION_REJECTED),
+            batches: count(names::SERVE_BATCHES),
+            batched_frames: frames_rendered,
+            jobs_popped,
+            brick_stagings: count(names::SERVE_BRICK_STAGINGS),
+            brick_reuses: count(names::SERVE_BRICK_REUSES),
+            plan_cache: cache([
+                names::SERVE_PLAN_CACHE_HITS,
+                names::SERVE_PLAN_CACHE_MISSES,
+                names::SERVE_PLAN_CACHE_EVICTIONS,
+                names::SERVE_PLAN_CACHE_ENTRIES,
+                names::SERVE_PLAN_CACHE_CAPACITY,
+            ]),
+            frame_cache: cache([
+                names::SERVE_FRAME_CACHE_HITS,
+                names::SERVE_FRAME_CACHE_MISSES,
+                names::SERVE_FRAME_CACHE_EVICTIONS,
+                names::SERVE_FRAME_CACHE_ENTRIES,
+                names::SERVE_FRAME_CACHE_CAPACITY,
+            ]),
+            queue_depths: [
+                level(names::SERVE_QUEUE_DEPTH_BATCH),
+                level(names::SERVE_QUEUE_DEPTH_NORMAL),
+                level(names::SERVE_QUEUE_DEPTH_INTERACTIVE),
+            ],
+            mean_queue_wait: Duration::from_nanos(waited.checked_div(jobs_popped).unwrap_or(0)),
             wall_elapsed,
-            sim_frame_total: Duration::from_nanos(ld(&stats.sim_frame_nanos)),
+            sim_frame_total: Duration::from_nanos(count(names::SERVE_SIM_FRAME_TOTAL_NS)),
+            snapshot,
         }
     }
 
     /// Combine reports from independent service instances (the shards of a
-    /// [`crate::ShardedService`]): counters add, the queue-wait mean is
-    /// re-weighted by popped jobs, wall time is the maximum (shards run
+    /// [`crate::ShardedService`], or the nodes of a pool): the snapshots
+    /// merge with [`Snapshot::merge`] — counters, gauges and histogram
+    /// buckets add — and wall time is the maximum (shards run
     /// concurrently).
     pub fn merged<'a>(reports: impl IntoIterator<Item = &'a ServiceReport>) -> ServiceReport {
-        let mut out = ServiceReport {
-            frames_submitted: 0,
-            frames_completed: 0,
-            frames_rendered: 0,
-            frames_failed: 0,
-            cache_hits: 0,
-            admission_rejected: 0,
-            batches: 0,
-            batched_frames: 0,
-            jobs_popped: 0,
-            brick_stagings: 0,
-            brick_reuses: 0,
-            plan_cache: CacheSnapshot::default(),
-            frame_cache: CacheSnapshot::default(),
-            mean_queue_wait: Duration::ZERO,
-            queue_wait_hist: [0; WAIT_BUCKETS],
-            wall_elapsed: Duration::ZERO,
-            sim_frame_total: Duration::ZERO,
-        };
-        let mut waited_nanos: u128 = 0;
+        let mut snapshot = Snapshot::new();
+        let mut wall_elapsed = Duration::ZERO;
         for r in reports {
-            out.frames_submitted += r.frames_submitted;
-            out.frames_completed += r.frames_completed;
-            out.frames_rendered += r.frames_rendered;
-            out.frames_failed += r.frames_failed;
-            out.cache_hits += r.cache_hits;
-            out.admission_rejected += r.admission_rejected;
-            out.batches += r.batches;
-            out.batched_frames += r.batched_frames;
-            out.jobs_popped += r.jobs_popped;
-            out.brick_stagings += r.brick_stagings;
-            out.brick_reuses += r.brick_reuses;
-            out.plan_cache.entries += r.plan_cache.entries;
-            out.plan_cache.capacity += r.plan_cache.capacity;
-            out.plan_cache.hits += r.plan_cache.hits;
-            out.plan_cache.misses += r.plan_cache.misses;
-            out.plan_cache.evictions += r.plan_cache.evictions;
-            out.frame_cache.entries += r.frame_cache.entries;
-            out.frame_cache.capacity += r.frame_cache.capacity;
-            out.frame_cache.hits += r.frame_cache.hits;
-            out.frame_cache.misses += r.frame_cache.misses;
-            out.frame_cache.evictions += r.frame_cache.evictions;
-            for (sum, bucket) in out.queue_wait_hist.iter_mut().zip(r.queue_wait_hist) {
-                *sum += bucket;
-            }
-            waited_nanos += r.mean_queue_wait.as_nanos() * r.jobs_popped as u128;
-            out.wall_elapsed = out.wall_elapsed.max(r.wall_elapsed);
-            out.sim_frame_total += r.sim_frame_total;
+            snapshot.merge(&r.snapshot);
+            wall_elapsed = wall_elapsed.max(r.wall_elapsed);
         }
-        if out.jobs_popped > 0 {
-            out.mean_queue_wait =
-                Duration::from_nanos((waited_nanos / out.jobs_popped as u128) as u64);
-        }
-        out
+        ServiceReport::from_snapshot(snapshot, wall_elapsed)
     }
 
     /// Fraction of completed frames answered from the frame cache.
@@ -303,7 +252,9 @@ impl ServiceReport {
     /// bucket holding the q-th popped job, so it never under-reports. Zero
     /// while nothing has been popped.
     pub fn queue_wait_quantile(&self, q: f64) -> Duration {
-        mgpu_obs::quantile(&self.queue_wait_hist, q)
+        self.snapshot
+            .hist_quantile(names::SERVE_QUEUE_WAIT_NS, q)
+            .unwrap_or(Duration::ZERO)
     }
 
     /// Median queue wait (see [`ServiceReport::queue_wait_quantile`]).
@@ -391,86 +342,97 @@ impl std::fmt::Display for ServiceReport {
 mod tests {
     use super::*;
 
+    /// A `serve.*` snapshot shaped like a service registry's export: the
+    /// given counters and gauges plus one queue-wait sample per popped job.
+    fn snap(counters: &[(&str, u64)], gauges: &[(&str, i64)], waits_ns: &[u64]) -> Snapshot {
+        let mut s = Snapshot::new();
+        for (name, v) in counters {
+            s.add_counter(name, *v);
+        }
+        for (name, v) in gauges {
+            s.add_gauge(name, *v);
+        }
+        let hist = Histogram::new();
+        for w in waits_ns {
+            hist.record(*w);
+        }
+        s.add_histogram(names::SERVE_QUEUE_WAIT_NS, &hist.load());
+        s.add_counter(names::SERVE_QUEUE_WAIT_TOTAL_NS, waits_ns.iter().sum());
+        s
+    }
+
     #[test]
     fn derived_rates() {
-        let stats = ServiceStats::default();
-        ServiceStats::add(&stats.frames_submitted, 10);
-        ServiceStats::add(&stats.frames_completed, 10);
-        ServiceStats::add(&stats.frames_rendered, 8);
-        ServiceStats::add(&stats.cache_hits, 2);
-        ServiceStats::add(&stats.batches, 2);
-        ServiceStats::add(&stats.batched_frames, 8);
         // 8 rendered + 2 worker-side coalesced pops: the wait mean divides
         // by popped jobs, not rendered frames.
-        ServiceStats::add(&stats.jobs_popped, 10);
-        ServiceStats::add(&stats.queue_wait_nanos, 10_000_000);
-        let plan = CacheSnapshot {
-            entries: 1,
-            capacity: 8,
-            hits: 1,
-            misses: 1,
-            evictions: 0,
-        };
-        let frames = CacheSnapshot {
-            entries: 2,
-            capacity: 4,
-            hits: 2,
-            misses: 8,
-            evictions: 0,
-        };
-        let r = ServiceReport::from_stats(&stats, plan, frames, Duration::from_secs(2));
+        let s = snap(
+            &[
+                (names::SERVE_FRAMES_SUBMITTED, 10),
+                (names::SERVE_FRAMES_COMPLETED, 10),
+                (names::SERVE_FRAMES_RENDERED, 8),
+                (names::SERVE_FRAME_CACHE_HITS, 2),
+                (names::SERVE_FRAME_CACHE_MISSES, 8),
+                (names::SERVE_BATCHES, 2),
+                (names::SERVE_PLAN_CACHE_HITS, 1),
+                (names::SERVE_PLAN_CACHE_MISSES, 1),
+            ],
+            &[
+                (names::SERVE_PLAN_CACHE_ENTRIES, 1),
+                (names::SERVE_PLAN_CACHE_CAPACITY, 8),
+                (names::SERVE_FRAME_CACHE_ENTRIES, 2),
+                (names::SERVE_FRAME_CACHE_CAPACITY, 4),
+                (names::SERVE_QUEUE_DEPTH_NORMAL, 3),
+            ],
+            &[1_000_000; 10],
+        );
+        let r = ServiceReport::from_snapshot(s, Duration::from_secs(2));
         assert_eq!(r.cache_hit_rate(), 0.2);
+        assert_eq!(r.frame_cache.hits, r.cache_hits, "one counter, two views");
         assert_eq!(r.batch_occupancy(), 4.0);
         assert_eq!(r.frames_per_sec(), 5.0);
+        assert_eq!(r.jobs_popped, 10);
         assert_eq!(r.mean_queue_wait, Duration::from_nanos(1_000_000));
         assert_eq!(r.plan_cache_hit_rate(), 0.5);
         assert_eq!(r.frame_cache.occupancy(), 0.5);
+        assert_eq!(r.queue_depths, [0, 3, 0]);
     }
 
     #[test]
     fn empty_report_has_no_nans() {
-        let stats = ServiceStats::default();
-        let r = ServiceReport::from_stats(
-            &stats,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            Duration::ZERO,
-        );
+        let r = ServiceReport::from_snapshot(Snapshot::new(), Duration::ZERO);
         assert_eq!(r.cache_hit_rate(), 0.0);
         assert_eq!(r.batch_occupancy(), 0.0);
         assert_eq!(r.frames_per_sec(), 0.0);
         assert_eq!(r.plan_cache_hit_rate(), 0.0);
         assert_eq!(r.mean_sim_frame(), Duration::ZERO);
         assert_eq!(r.queue_wait_p50(), Duration::ZERO);
+        assert_eq!(r.mean_queue_wait, Duration::ZERO);
         let text = r.to_string();
         assert!(text.contains("0 submitted"));
     }
 
     #[test]
     fn merged_sums_and_reweights() {
-        let mk = |rendered: u64, popped: u64, wait_ms: u64, wall: u64| {
-            let stats = ServiceStats::default();
-            ServiceStats::add(&stats.frames_rendered, rendered);
-            ServiceStats::add(&stats.frames_completed, rendered);
-            ServiceStats::add(&stats.jobs_popped, popped);
-            for _ in 0..popped {
-                stats.record_wait(wait_ms * 1_000_000);
-            }
-            let plan = CacheSnapshot {
-                entries: 1,
-                capacity: 8,
-                hits: 2,
-                misses: 1,
-                evictions: 0,
-            };
-            let frames = CacheSnapshot {
-                entries: 3,
-                capacity: 16,
-                hits: 1,
-                misses: 2,
-                evictions: 1,
-            };
-            ServiceReport::from_stats(&stats, plan, frames, Duration::from_secs(wall))
+        let mk = |rendered: u64, popped: usize, wait_ms: u64, wall: u64| {
+            let s = snap(
+                &[
+                    (names::SERVE_FRAMES_RENDERED, rendered),
+                    (names::SERVE_FRAMES_COMPLETED, rendered),
+                    (names::SERVE_PLAN_CACHE_HITS, 2),
+                    (names::SERVE_PLAN_CACHE_MISSES, 1),
+                    (names::SERVE_FRAME_CACHE_HITS, 1),
+                    (names::SERVE_FRAME_CACHE_MISSES, 2),
+                    (names::SERVE_FRAME_CACHE_EVICTIONS, 1),
+                ],
+                &[
+                    (names::SERVE_PLAN_CACHE_ENTRIES, 1),
+                    (names::SERVE_PLAN_CACHE_CAPACITY, 8),
+                    (names::SERVE_FRAME_CACHE_ENTRIES, 3),
+                    (names::SERVE_FRAME_CACHE_CAPACITY, 16),
+                ],
+                &vec![wait_ms * 1_000_000; popped],
+            );
+            ServiceReport::from_snapshot(s, Duration::from_secs(wall))
         };
         let a = mk(4, 4, 2, 3);
         let b = mk(8, 12, 6, 5);
@@ -481,35 +443,34 @@ mod tests {
         assert_eq!(m.plan_cache.capacity, 16);
         assert_eq!(m.frame_cache.entries, 6);
         assert_eq!(m.frame_cache.capacity, 32);
+        assert_eq!(m.frame_cache.evictions, 2);
         assert_eq!(m.wall_elapsed, Duration::from_secs(5), "shards overlap");
         // Weighted mean: (4·2ms + 12·6ms) / 16 = 5ms.
         assert_eq!(m.mean_queue_wait, Duration::from_millis(5));
         // Histogram buckets add: 16 samples total, p50 falls in the 6 ms
         // bucket's range because 12 of 16 samples sit there.
-        assert_eq!(m.queue_wait_hist.iter().sum::<u64>(), 16);
+        let waits = m.snapshot.histogram(names::SERVE_QUEUE_WAIT_NS).unwrap();
+        assert_eq!(waits.iter().sum::<u64>(), 16);
         assert!(m.queue_wait_p50() >= Duration::from_millis(4));
+        // Merging is the snapshot merge: re-deriving from the merged
+        // snapshot reproduces the merged report.
+        assert_eq!(
+            ServiceReport::from_snapshot(m.snapshot.clone(), m.wall_elapsed),
+            m
+        );
         assert_eq!(ServiceReport::merged([]).jobs_popped, 0);
     }
 
     #[test]
     fn quantiles_are_thin_views_over_the_obs_histogram() {
         // Bucketing and quantile math live in mgpu-obs (tested there); this
-        // checks the report plumbing: record_wait keeps the mean total, the
-        // instance histogram and the quantile views in lockstep.
-        let stats = ServiceStats::default();
-        for _ in 0..9 {
-            stats.record_wait(1_000); // ≈ 1 µs
-        }
-        stats.record_wait(1_000_000_000); // one 1 s outlier
-        ServiceStats::add(&stats.jobs_popped, 10);
-        let r = ServiceReport::from_stats(
-            &stats,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            Duration::from_secs(1),
-        );
-        assert_eq!(r.queue_wait_hist.iter().sum::<u64>(), 10);
-        assert_eq!(WAIT_BUCKETS, mgpu_obs::HIST_BUCKETS);
+        // checks the report plumbing: the mean, the popped count and the
+        // quantile views all read the one `serve.queue_wait_ns` sample set.
+        let mut waits = vec![1_000; 9]; // ≈ 1 µs
+        waits.push(1_000_000_000); // one 1 s outlier
+        let r = ServiceReport::from_snapshot(snap(&[], &[], &waits), Duration::from_secs(1));
+        assert_eq!(r.jobs_popped, 10);
+        assert_eq!(r.mean_queue_wait, Duration::from_nanos(100_000_900));
         let p50 = r.queue_wait_p50();
         assert!(p50 <= Duration::from_nanos(2048), "median ignores outlier");
         assert!(

@@ -15,60 +15,31 @@
 //! shard (~1/(N+1) of them) — no global reshuffle that would cold-start
 //! every plan cache at once.
 
-use std::time::Duration;
-
 use mgpu_voldata::volume::{fnv1a, FNV_OFFSET};
 
 use crate::batch::BatchKey;
-use crate::cache::CacheSnapshot;
 use crate::{
     AdmissionError, FrameTicket, RenderService, SceneRequest, ServiceConfig, ServiceReport,
 };
 
 /// Point-in-time load ("heat") of one shard — what a rebalancer or an
-/// operator dashboard watches per shard: queue pressure, throughput, and
-/// whether the shard's caches are actually warm for the keys it owns.
+/// operator dashboard watches per shard: queue pressure
+/// (`report.queue_depths`), throughput (`report.frames_per_sec()`), tail
+/// queue wait (`report.queue_wait_p90()`, rises first when a shard runs
+/// hot), and whether the shard's caches are actually warm for the keys it
+/// owns (`report.frame_cache`, `report.plan_cache`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardHeat {
     /// Index into [`ShardedService::shard`].
     pub shard: usize,
-    /// Queued jobs per class, `[batch, normal, interactive]`.
-    pub queue_depths: [usize; 3],
-    pub frames_completed: u64,
-    pub frames_per_sec: f64,
-    /// Frame-cache occupancy and hit counters for this shard.
-    pub frame_cache: CacheSnapshot,
-    /// Plan-cache occupancy and hit counters for this shard.
-    pub plan_cache: CacheSnapshot,
-    pub mean_queue_wait: Duration,
-    /// Tail queue wait (p90) — rises first when a shard runs hot.
-    pub queue_wait_p90: Duration,
+    /// The shard's report: a view of its own registry snapshot.
+    pub report: ServiceReport,
 }
 
 impl ShardHeat {
-    /// Build from a shard's already-taken report, so one snapshot can feed
-    /// both the heat view and [`ServiceReport::merged`] — see
-    /// [`ShardedService::heat_and_merged`].
-    pub fn from_report(
-        shard: usize,
-        queue_depths: [usize; 3],
-        report: &ServiceReport,
-    ) -> ShardHeat {
-        ShardHeat {
-            shard,
-            queue_depths,
-            frames_completed: report.frames_completed,
-            frames_per_sec: report.frames_per_sec(),
-            frame_cache: report.frame_cache,
-            plan_cache: report.plan_cache,
-            mean_queue_wait: report.mean_queue_wait,
-            queue_wait_p90: report.queue_wait_p90(),
-        }
-    }
-
     /// Total queued jobs on this shard.
     pub fn queue_depth(&self) -> usize {
-        self.queue_depths.iter().sum()
+        self.report.queue_depths.iter().sum()
     }
 }
 
@@ -203,35 +174,25 @@ impl ShardedService {
 
     /// Merged accounting across shards (see [`ServiceReport::merged`]).
     pub fn report(&self) -> ServiceReport {
-        let reports: Vec<ServiceReport> = self.shards.iter().map(RenderService::report).collect();
-        ServiceReport::merged(&reports)
+        ServiceReport::merged(&self.shard_reports())
     }
 
-    /// Per-shard accounting, indexed like [`ShardedService::shard`].
+    /// Per-shard accounting, indexed like [`ShardedService::shard`]. Each
+    /// report carries its shard's own snapshot, so merging them (as
+    /// [`ShardedService::report`] does) sums exactly the shard counters.
     pub fn shard_reports(&self) -> Vec<ServiceReport> {
         self.shards.iter().map(RenderService::report).collect()
     }
 
-    /// Per-shard heat metrics (queue depth, throughput, cache occupancy),
-    /// indexed like [`ShardedService::shard`] — the data a rebalancer or a
-    /// network front-end's `STATS` request reports.
+    /// Per-shard heat (queue depth, throughput, cache occupancy), indexed
+    /// like [`ShardedService::shard`] — the data a rebalancer or a network
+    /// front-end's `STATS` request reports.
     pub fn heat(&self) -> Vec<ShardHeat> {
-        self.heat_and_merged().0
-    }
-
-    /// One coherent stats snapshot: the per-shard heat and the merged
-    /// report are derived from the *same* per-shard reports, so the shard
-    /// counters always sum to the merged counters even while frames are
-    /// completing concurrently.
-    pub fn heat_and_merged(&self) -> (Vec<ShardHeat>, ServiceReport) {
-        let reports: Vec<ServiceReport> = self.shards.iter().map(RenderService::report).collect();
-        let merged = ServiceReport::merged(&reports);
-        let heat = reports
-            .iter()
+        self.shard_reports()
+            .into_iter()
             .enumerate()
-            .map(|(i, r)| ShardHeat::from_report(i, self.shards[i].queue_depths(), r))
-            .collect();
-        (heat, merged)
+            .map(|(shard, report)| ShardHeat { shard, report })
+            .collect()
     }
 
     /// Shut every shard down (draining their queues) and merge the final
@@ -315,11 +276,14 @@ mod tests {
         }
         let heat = sharded.heat();
         assert_eq!(heat.len(), 2);
-        assert_eq!(heat[owner].frames_completed, 2);
-        assert_eq!(heat[owner].frame_cache.entries, 1);
-        assert!(heat[owner].frame_cache.hits >= 1, "repeat view must hit");
-        assert_eq!(heat[1 - owner].frames_completed, 0);
-        assert_eq!(heat[1 - owner].frame_cache.entries, 0);
+        assert_eq!(heat[owner].report.frames_completed, 2);
+        assert_eq!(heat[owner].report.frame_cache.entries, 1);
+        assert!(
+            heat[owner].report.frame_cache.hits >= 1,
+            "repeat view must hit"
+        );
+        assert_eq!(heat[1 - owner].report.frames_completed, 0);
+        assert_eq!(heat[1 - owner].report.frame_cache.entries, 0);
         for h in &heat {
             assert_eq!(h.queue_depth(), 0, "drained after wait()");
         }

@@ -84,7 +84,7 @@ fn main() {
     for t in wave {
         assert!(!t.wait().from_cache, "new views render fresh");
     }
-    let plans = service.plan_snapshot();
+    let plans = service.report().plan_cache;
     assert!(plans.hits > 0, "the new wave must reuse a cached plan");
     println!(
         "second skull wave reused the cached plan ({} plan-cache hits)\n",
