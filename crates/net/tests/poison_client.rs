@@ -221,3 +221,73 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     assert_service_healthy(&server, 50.0);
     server.shutdown();
 }
+
+// --- reply precedence at the RENDER/SUBMIT door -------------------------
+//
+// The server answers RENDER/SUBMIT refusals in a fixed order: draining,
+// then a duplicate request id, then the per-session ticket bound, and only
+// then decodes the payload. Each case below sends a *truncated* RENDER
+// payload, so a dispatch that decoded first would answer a BAD_REQUEST
+// about truncation instead of the refusal pinned here.
+
+fn truncated_render_payload() -> Vec<u8> {
+    let bytes = wire::encode_request(&tiny_request(0.0));
+    bytes[..6].to_vec()
+}
+
+/// A server bounded at one outstanding request per session, plus a raw
+/// connection that already holds that one request: an unredeemed ticket
+/// under request id 1.
+fn server_with_one_outstanding_ticket() -> (RenderServer, TcpStream) {
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        max_tickets_per_session: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let payload = wire::encode_request(&tiny_request(0.0));
+    write_frame(&mut raw, opcode::SUBMIT, 1, &payload).expect("submit");
+    let (op, id, _) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("ack");
+    assert_eq!((op, id), (opcode::SUBMITTED, 1));
+    (server, raw)
+}
+
+#[test]
+fn draining_refusal_precedes_every_other_render_check() {
+    let (server, mut raw) = server_with_one_outstanding_ticket();
+    let control = RenderClient::connect(server.addr()).expect("control connect");
+    control.drain(5).expect("drain");
+    // Id 1 is a duplicate and the session is at its bound, yet the typed
+    // DRAINING refusal (carrying the epoch) wins.
+    write_frame(&mut raw, opcode::RENDER, 1, &truncated_render_payload()).expect("render");
+    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
+    assert_eq!((op, id), (opcode::DRAINING, 1));
+    assert_eq!(wire::decode_epoch(&payload), Ok(5));
+    control.resume(6).expect("resume");
+    server.shutdown();
+}
+
+#[test]
+fn duplicate_id_precedes_ticket_bound_and_payload_decode() {
+    let (server, mut raw) = server_with_one_outstanding_ticket();
+    write_frame(&mut raw, opcode::RENDER, 1, &truncated_render_payload()).expect("render");
+    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
+    assert_eq!((op, id), (opcode::BAD_REQUEST, 1));
+    let message = wire::decode_message(&payload).expect("echo decodes");
+    assert!(
+        message.contains("duplicate request id 1"),
+        "unexpected echo: {message}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn ticket_bound_precedes_payload_decode() {
+    let (server, mut raw) = server_with_one_outstanding_ticket();
+    write_frame(&mut raw, opcode::RENDER, 2, &truncated_render_payload()).expect("render");
+    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
+    assert_eq!((op, id), (opcode::TICKETS_FULL, 2));
+    assert_eq!(wire::decode_tickets_full(&payload), Ok((1, 1)));
+    server.shutdown();
+}
