@@ -3,8 +3,9 @@
 //! Wire decoding turns arbitrary peer bytes into typed `WireError`s, not
 //! panics (a proptest corruption harness samples this). This lint proves
 //! the *shape* on every build, in every function that reads peer bytes:
-//! `read_frame` and every `decode_*` in `crates/net/src/wire.rs`, and
-//! every `decode_*`/`get_*` in `crates/net/src/heat.rs` (the `STATS`
+//! `read_frame`, every `decode`/`decode_*` (the `Request`/`Reply` decoders
+//! and the payload codecs) and every `get_*` field reader in
+//! `crates/net/src/wire.rs` and `crates/net/src/heat.rs` (the `STATS`
 //! payload). Inside them there must be no `unwrap`/`expect`, no
 //! `panic!`/`unreachable!`/`todo!`/`unimplemented!`, and no direct slice
 //! indexing (`payload[4]`, `&buf[..n]` — both can panic; use `get(..)`
@@ -26,29 +27,23 @@ const BANNED_CALLS: &[&str] = &[
     "unimplemented",
 ];
 
-/// Whether a function, by name, reads peer bytes.
-type InScope = fn(&str) -> bool;
+/// The files whose functions read peer bytes.
+const DECODERS: &[&str] = &["net/src/wire.rs", "net/src/heat.rs"];
 
-/// The files whose functions read peer bytes, and which functions those
-/// are.
-const DECODERS: &[(&str, InScope)] = &[
-    ("net/src/wire.rs", |name| {
-        name.starts_with("decode_") || name == "read_frame"
-    }),
-    ("net/src/heat.rs", |name| {
-        name.starts_with("decode_") || name.starts_with("get_")
-    }),
-];
+/// Whether a function, by name, reads peer bytes.
+fn in_scope(name: &str) -> bool {
+    name.starts_with("decode") || name.starts_with("get_") || name == "read_frame"
+}
 
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
-    for (suffix, in_scope) in DECODERS {
+    for suffix in DECODERS {
         if let Some(file) = ws.file_ending(suffix) {
-            check_file(file, *in_scope, diag);
+            check_file(file, diag);
         }
     }
 }
 
-fn check_file(file: &SourceFile, in_scope: InScope, diag: &mut Diagnostics) {
+fn check_file(file: &SourceFile, diag: &mut Diagnostics) {
     let tokens = &file.tokens;
     let mut i = 0;
     while i < tokens.len() {

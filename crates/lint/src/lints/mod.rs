@@ -5,7 +5,7 @@
 //!
 //! | lint name | invariant |
 //! |---|---|
-//! | `wire-conformance` | opcode discipline across wire.rs / server / client / README |
+//! | `wire-conformance` | opcode discipline across the `Request`/`Reply` enums, client and README |
 //! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
 //! | `panic-free-decode` | no panics or direct indexing in wire decode paths |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |

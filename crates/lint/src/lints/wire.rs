@@ -1,20 +1,18 @@
 //! `wire-conformance` — the opcode discipline.
 //!
-//! The protocol's correctness spans four files that nothing but
-//! convention keeps in sync: the `opcode` module in
-//! `crates/net/src/wire.rs` declares the numbers, the server dispatch
-//! loop must answer every request, the client must understand every
-//! reply, and the README wire table documents the lot. This lint parses
-//! the opcode module and checks:
+//! `crates/net/src/wire.rs` declares the opcode numbers in `mod opcode` and
+//! pairs each one with a message variant in the `fn opcode` of the
+//! `Request` and `Reply` enums — the protocol's one codec. The client must
+//! understand every reply, and the README wire table documents the lot.
+//! This lint parses the opcode module and both mappings and checks:
 //!
 //! 1. every opcode value is unique;
-//! 2. every opcode the server *dispatches on* (match arm or `op ==`
-//!    comparison) is a request (`< 0x80`) and every opcode it *sends*
-//!    (first argument of `frame_bytes(..)` / `write_frame(..)`) is a
-//!    reply (`>= 0x80`) — and every opcode does exactly one of the two;
-//! 3. every opcode appears in the client (handled) or is knowingly
-//!    ignored via a `// lint: wire-ignore(NAME)` comment there;
-//! 4. every opcode name appears in `README.md`.
+//! 2. `Request` variants map only to request values (`< 0x80`) and
+//!    `Reply` variants only to reply values (`>= 0x80`);
+//! 3. every opcode belongs to exactly one variant;
+//! 4. `client.rs` names every `Reply` variant (`Reply::Name`) or knowingly
+//!    ignores it via a `// lint: wire-ignore(Name)` comment there;
+//! 5. every opcode name appears in `README.md`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +29,14 @@ pub struct Opcode {
     pub name: String,
     pub value: u64,
     pub line: u32,
+}
+
+/// One arm of an enum's `fn opcode`: `Enum::Variant .. => opcode::NAME`.
+struct Arm {
+    enum_name: &'static str,
+    variant: String,
+    opcode: String,
+    line: u32,
 }
 
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
@@ -60,81 +66,80 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
         }
     }
 
-    // (2) server roles.
-    let server = ws.file_ending("net/src/server.rs");
-    if let Some(server) = server {
-        let (dispatched, sent) = server_roles(server);
-        for opcode in &opcodes {
-            let d = dispatched.contains(&opcode.name);
-            let s = sent.contains(&opcode.name);
-            if d && opcode.value >= 0x80 {
-                diag.report(
-                    wire,
-                    opcode.line,
-                    NAME,
-                    format!(
-                        "{} ({:#04X}) is dispatched as a request in server.rs but has a \
-                         reply value (>= 0x80)",
-                        opcode.name, opcode.value
-                    ),
-                );
-            }
-            if s && opcode.value < 0x80 {
-                diag.report(
-                    wire,
-                    opcode.line,
-                    NAME,
-                    format!(
-                        "{} ({:#04X}) is sent as a reply in server.rs but has a \
-                         request value (< 0x80)",
-                        opcode.name, opcode.value
-                    ),
-                );
-            }
-            if !d && !s {
-                diag.report(
-                    wire,
-                    opcode.line,
-                    NAME,
-                    format!(
-                        "{} ({:#04X}) is neither matched in the server dispatch nor \
-                         sent as a reply — dead opcode or missing handler",
-                        opcode.name, opcode.value
-                    ),
-                );
-            }
+    // (2) each enum maps into its own half of the opcode space.
+    let requests = parse_arms(wire, "Request");
+    let replies = parse_arms(wire, "Reply");
+    for arm in requests.iter().chain(&replies) {
+        // An undeclared name is the compiler's to report.
+        let Some(opcode) = opcodes.iter().find(|o| o.name == arm.opcode) else {
+            continue;
+        };
+        let (want_reply, space) = if arm.enum_name == "Reply" {
+            (true, "request value (< 0x80)")
+        } else {
+            (false, "reply value (>= 0x80)")
+        };
+        if (opcode.value >= 0x80) != want_reply {
+            diag.report(
+                wire,
+                arm.line,
+                NAME,
+                format!(
+                    "{}::{} maps to {} ({:#04X}), a {space}",
+                    arm.enum_name, arm.variant, opcode.name, opcode.value
+                ),
+            );
         }
     }
 
-    // (3) client coverage.
+    // (3) one variant per opcode.
+    for opcode in &opcodes {
+        let owners: Vec<String> = requests
+            .iter()
+            .chain(&replies)
+            .filter(|arm| arm.opcode == opcode.name)
+            .map(|arm| format!("{}::{}", arm.enum_name, arm.variant))
+            .collect();
+        let problem = match owners.len() {
+            1 => continue,
+            0 => "belongs to no Request or Reply variant — dead opcode or missing variant"
+                .to_string(),
+            _ => format!("belongs to more than one variant: {}", owners.join(", ")),
+        };
+        diag.report(
+            wire,
+            opcode.line,
+            NAME,
+            format!("{} ({:#04X}) {problem}", opcode.name, opcode.value),
+        );
+    }
+
+    // (4) client coverage.
     if let Some(client) = ws.file_ending("net/src/client.rs") {
-        let mut mentioned: BTreeSet<String> = BTreeSet::new();
-        for i in 0..client.tokens.len() {
-            if let Some((name, _)) = path2(&client.tokens, i, "opcode") {
-                mentioned.insert(name.to_string());
-            }
-        }
-        for opcode in &opcodes {
+        let mentioned: BTreeSet<&str> = (0..client.tokens.len())
+            .filter_map(|i| path2(&client.tokens, i, "Reply").map(|(name, _)| name))
+            .collect();
+        for arm in &replies {
             let ignored = client.comments.iter().any(|c| {
                 c.text
-                    .contains(&format!("lint: wire-ignore({})", opcode.name))
+                    .contains(&format!("lint: wire-ignore({})", arm.variant))
             });
-            if !mentioned.contains(&opcode.name) && !ignored {
+            if !mentioned.contains(arm.variant.as_str()) && !ignored {
                 diag.report(
                     wire,
-                    opcode.line,
+                    arm.line,
                     NAME,
                     format!(
-                        "{} ({:#04X}) is never handled in client.rs — handle it or mark \
+                        "Reply::{} ({}) is never handled in client.rs — handle it or mark \
                          it `// lint: wire-ignore({})` there",
-                        opcode.name, opcode.value, opcode.name
+                        arm.variant, arm.opcode, arm.variant
                     ),
                 );
             }
         }
     }
 
-    // (4) README documentation.
+    // (5) README documentation.
     if let Some(readme) = &ws.readme {
         for opcode in &opcodes {
             if !contains_word(readme, &opcode.name) {
@@ -199,30 +204,48 @@ pub fn parse_opcode_module(wire: &SourceFile) -> Vec<Opcode> {
     opcodes
 }
 
-/// Classify opcode uses in server.rs: `dispatched` names appear in match
-/// arms (`opcode::X =>`, `opcode::X |`) or comparisons (`== opcode::X`);
-/// `sent` names are the first argument of `frame_bytes(` /
-/// `write_frame(`.
-fn server_roles(server: &SourceFile) -> (BTreeSet<String>, BTreeSet<String>) {
-    let tokens = &server.tokens;
-    let mut dispatched = BTreeSet::new();
-    let mut sent = BTreeSet::new();
+/// Pull the arms of `fn opcode` out of every `impl <enum_name>` block:
+/// each `enum_name::Variant` (or `Self::Variant`) pattern is paired with the
+/// `opcode::NAME` its arm evaluates to.
+fn parse_arms(wire: &SourceFile, enum_name: &'static str) -> Vec<Arm> {
+    let tokens = &wire.tokens;
+    let mut arms = Vec::new();
     for i in 0..tokens.len() {
-        let Some((name, _)) = path2(tokens, i, "opcode") else {
+        if !(is_ident(tokens, i, "impl") && is_ident(tokens, i + 1, enum_name)) {
+            continue;
+        }
+        let Some(open) = (i..tokens.len()).find(|&k| is_punct(tokens, k, '{')) else {
+            break;
+        };
+        let close = match_brace(tokens, open);
+        let Some(body) = (open..close)
+            .find(|&k| is_ident(tokens, k, "fn") && is_ident(tokens, k + 1, "opcode"))
+            .and_then(|f| (f..close).find(|&k| is_punct(tokens, k, '{')))
+        else {
             continue;
         };
-        let after = i + 4; // past `opcode :: NAME`
-        let arm = (is_punct(tokens, after, '=') && is_punct(tokens, after + 1, '>'))
-            || is_punct(tokens, after, '|');
-        let cmp = i >= 2 && is_punct(tokens, i - 1, '=') && is_punct(tokens, i - 2, '=');
-        let call = i >= 2
-            && is_punct(tokens, i - 1, '(')
-            && (is_ident(tokens, i - 2, "frame_bytes") || is_ident(tokens, i - 2, "write_frame"));
-        if call {
-            sent.insert(name.to_string());
-        } else if arm || cmp {
-            dispatched.insert(name.to_string());
+        let mut variants = Vec::new();
+        for k in body..match_brace(tokens, body) {
+            if let Some((variant, _)) =
+                path2(tokens, k, enum_name).or_else(|| path2(tokens, k, "Self"))
+            {
+                variants.push(variant.to_string());
+            }
+            if is_punct(tokens, k, '=') && is_punct(tokens, k + 1, '>') {
+                let Some((opcode, line)) = path2(tokens, k + 2, "opcode") else {
+                    variants.clear();
+                    continue;
+                };
+                for variant in variants.drain(..) {
+                    arms.push(Arm {
+                        enum_name,
+                        variant,
+                        opcode: opcode.to_string(),
+                        line,
+                    });
+                }
+            }
         }
     }
-    (dispatched, sent)
+    arms
 }

@@ -33,116 +33,132 @@ fn assert_quiet(findings: &[Finding]) {
 
 // --- wire-conformance ---------------------------------------------------
 
-const WIRE_OK: &str = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x81;
+/// A minimal wire.rs: the opcode table plus the `Request`/`Reply` mappings,
+/// with `{ping}`/`{pong}` standing in for the mapped opcode names.
+fn wire_rs(ping: &str, pong: &str, values: (u8, u8)) -> String {
+    format!(
+        r#"
+pub mod opcode {{
+    pub const PING: u8 = {:#04x};
+    pub const PONG: u8 = {:#04x};
+}}
+impl Request<'_> {{
+    pub fn opcode(&self) -> u8 {{
+        match self {{
+            Request::Ping {{ .. }} => opcode::{ping},
+        }}
+    }}
+}}
+impl Reply<'_> {{
+    pub fn opcode(&self) -> u8 {{
+        match self {{
+            Reply::Pong {{ .. }} => opcode::{pong},
+        }}
+    }}
+}}
+"#,
+        values.0, values.1
+    )
 }
-"#;
-
-const SERVER_OK: &str = r#"
-fn dispatch(op: u8, conn: &mut Conn) {
-    match op {
-        opcode::PING => conn.send(frame_bytes(opcode::PONG, &[])),
-        _ => {}
-    }
-}
-"#;
 
 const CLIENT_OK: &str = r#"
-fn roundtrip() {
-    send(opcode::PING);
-    // lint: wire-ignore(PONG) replies are matched by request id, not opcode
+fn ping(client: &Client) -> u32 {
+    match client.call(&Request::Ping { token: 1 }) {
+        Reply::Pong { shards, .. } => shards,
+    }
 }
 "#;
 
 const README_OK: &str = "wire table: `PING` (0x01) is answered by `PONG` (0x81).";
 
-#[test]
-fn wire_green_conforming_protocol_is_quiet() {
-    let findings = run(
+fn run_wire(wire: &str, client: &str, readme: &str) -> Vec<Finding> {
+    run(
         wire::check,
         vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            ("README.md", README_OK),
+            ("crates/net/src/wire.rs", wire),
+            ("crates/net/src/client.rs", client),
+            ("README.md", readme),
         ],
-    );
+    )
+}
+
+#[test]
+fn wire_green_conforming_protocol_is_quiet() {
+    let findings = run_wire(&wire_rs("PING", "PONG", (0x01, 0x81)), CLIENT_OK, README_OK);
+    assert_quiet(&findings);
+    // A reply the client knowingly never names is quiet too.
+    let ignoring = "fn ping() {}\n// lint: wire-ignore(Pong) matched by request id\n";
+    let findings = run_wire(&wire_rs("PING", "PONG", (0x01, 0x81)), ignoring, README_OK);
     assert_quiet(&findings);
 }
 
 #[test]
 fn wire_red_duplicate_value_fires() {
-    let wire_dup = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x01;
-}
-"#;
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", wire_dup),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            ("README.md", README_OK),
-        ],
-    );
+    let findings = run_wire(&wire_rs("PING", "PONG", (0x01, 0x01)), CLIENT_OK, README_OK);
     assert_fires(&findings, wire::NAME, "reuses value");
 }
 
 #[test]
 fn wire_red_request_valued_reply_fires() {
-    // The server *sends* REPLY, but its value sits in request space.
-    let wire_bad = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x02;
-}
-"#;
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", wire_bad),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            ("README.md", README_OK),
-        ],
+    // `Reply::Pong` maps to a value in request space.
+    let findings = run_wire(&wire_rs("PING", "PONG", (0x01, 0x02)), CLIENT_OK, README_OK);
+    assert_fires(
+        &findings,
+        wire::NAME,
+        "Reply::Pong maps to PONG (0x02), a request value",
     );
-    assert_fires(&findings, wire::NAME, "request value");
+}
+
+#[test]
+fn wire_red_reply_valued_request_fires() {
+    // `Request::Ping` maps to a value in reply space.
+    let findings = run_wire(&wire_rs("PING", "PONG", (0x82, 0x81)), CLIENT_OK, README_OK);
+    assert_fires(
+        &findings,
+        wire::NAME,
+        "Request::Ping maps to PING (0x82), a reply value",
+    );
+}
+
+#[test]
+fn wire_red_opcode_without_exactly_one_variant_fires() {
+    // Both variants claim PONG: PING has no variant, PONG has two.
+    let findings = run_wire(&wire_rs("PONG", "PONG", (0x01, 0x81)), CLIENT_OK, README_OK);
+    assert_fires(
+        &findings,
+        wire::NAME,
+        "PING (0x01) belongs to no Request or Reply",
+    );
+    assert_fires(
+        &findings,
+        wire::NAME,
+        "PONG (0x81) belongs to more than one variant",
+    );
 }
 
 #[test]
 fn wire_red_undocumented_opcode_fires() {
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            (
-                "README.md",
-                "wire table: only `PING` (0x01) is described here.",
-            ),
-        ],
+    let findings = run_wire(
+        &wire_rs("PING", "PONG", (0x01, 0x81)),
+        CLIENT_OK,
+        "wire table: only `PING` (0x01) is described here.",
     );
     assert_fires(&findings, wire::NAME, "not documented in the README");
 }
 
 #[test]
 fn wire_red_unhandled_in_client_fires() {
-    let client_partial = "fn roundtrip() { send(opcode::PING); }\n";
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", client_partial),
-            ("README.md", README_OK),
-        ],
+    let client_partial = "fn ping(c: &Client) { c.call(&Request::Ping { token: 1 }); }\n";
+    let findings = run_wire(
+        &wire_rs("PING", "PONG", (0x01, 0x81)),
+        client_partial,
+        README_OK,
     );
-    assert_fires(&findings, wire::NAME, "never handled in client.rs");
+    assert_fires(
+        &findings,
+        wire::NAME,
+        "Reply::Pong (PONG) is never handled in client.rs",
+    );
 }
 
 // --- metric-registry ----------------------------------------------------
@@ -340,6 +356,42 @@ fn decode_red_stats_getter_fires() {
         decode::NAME,
         "direct slice indexing in decode path `decode_stats`",
     );
+}
+
+#[test]
+fn decode_green_message_decoder_is_quiet() {
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/wire.rs",
+            "impl Reply<'_> {\n\
+                 pub fn decode(op: u8, p: &[u8]) -> Result<Reply<'static>, WireError> {\n\
+                     let token = p.first().copied().ok_or(WireError::Truncated)?;\n\
+                     Ok(Reply::Pong { token })\n\
+                 }\n\
+             }\n",
+        )],
+    );
+    assert_quiet(&findings);
+}
+
+#[test]
+fn decode_red_unwrap_in_message_decoder_fires() {
+    // The enum decoders are named plain `decode`; they read peer bytes
+    // like any `decode_*` and are in scope.
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/wire.rs",
+            "impl Reply<'_> {\n\
+                 pub fn decode(op: u8, p: &[u8]) -> Result<Reply<'static>, WireError> {\n\
+                     let token = p.first().copied().unwrap();\n\
+                     Ok(Reply::Pong { token })\n\
+                 }\n\
+             }\n",
+        )],
+    );
+    assert_fires(&findings, decode::NAME, "`unwrap` in decode path `decode`");
 }
 
 #[test]

@@ -27,7 +27,9 @@
 //! every later call) fails with the same typed error, because a
 //! desynchronized byte stream cannot be trusted again.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -36,13 +38,10 @@ use std::time::Duration;
 use mgpu_obs::CompletedTrace;
 use mgpu_serve::{AdmissionError, FrameError};
 
-use crate::heat::{decode_stats, NetStats};
+use crate::heat::NetStats;
 use crate::wire::{
-    decode_drain_state, decode_epoch, decode_frame, decode_message, decode_pong, decode_prewarmed,
-    decode_rejected, decode_throttled, decode_ticket, decode_tickets_full, decode_traces,
-    decode_unsupported_version, encode_epoch, encode_ping, encode_prewarm, encode_request,
-    encode_ticket, encode_traces_request, opcode, read_frame, write_frame, DrainState, NetFrame,
-    NetSceneRequest, WireError, DEFAULT_MAX_PAYLOAD,
+    read_frame, DrainState, NetFrame, NetSceneRequest, Reply, Request, WireError,
+    DEFAULT_MAX_PAYLOAD,
 };
 
 /// Why a client call failed, with the server-side error types restored.
@@ -282,12 +281,11 @@ impl RenderClient {
     /// Round-trip a `PING`; returns the server's shard count.
     pub fn ping(&self) -> Result<u32, ClientError> {
         let token = 0x6D67_7075; // arbitrary echo payload
-        let id = self.fresh_id();
-        self.send(opcode::PING, id, &encode_ping(token))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::PONG => {
-                let (echoed, shards) = decode_pong(&payload)?;
+        match self.call(&Request::Ping { token })? {
+            Reply::Pong {
+                token: echoed,
+                shards,
+            } => {
                 if echoed != token {
                     return Err(ClientError::Protocol(format!(
                         "pong echoed {echoed:#x}, expected {token:#x}"
@@ -295,7 +293,7 @@ impl RenderClient {
                 }
                 Ok(shards)
             }
-            other => Err(unexpected(other, &payload)),
+            other => Err(refusal(other)),
         }
     }
 
@@ -304,7 +302,8 @@ impl RenderClient {
     /// threads sharing this client) all proceed at once; replies are
     /// matched by `request_id`. Admission shedding surfaces as a typed
     /// [`ClientError::Admission`] — the server answers inline instead of
-    /// parking the request (retry loops live in `RemoteBackend`).
+    /// parking the request; retry loops live in the backends above the
+    /// client (`RemoteBackend`, `NodePool`).
     pub fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
         let pending = self.begin_render(request)?;
         self.finish_render(pending)
@@ -316,7 +315,7 @@ impl RenderClient {
     /// then collect them in any order with [`RenderClient::finish_render`].
     pub fn begin_render(&self, request: &NetSceneRequest) -> Result<PendingRender, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::RENDER, id, &encode_request(request))?;
+        self.send(id, &Request::Render(Cow::Borrowed(request)))?;
         Ok(PendingRender { id })
     }
 
@@ -324,8 +323,7 @@ impl RenderClient {
     /// regardless of how many other requests are in flight or in what
     /// order the server finishes them.
     pub fn finish_render(&self, pending: PendingRender) -> Result<NetFrame, ClientError> {
-        let (op, payload) = self.await_reply(pending.id)?;
-        frame_response(op, &payload)
+        frame_response(self.await_reply(pending.id)?)
     }
 
     /// Fire-and-forget submit — the wire analogue of `try_submit`: waits
@@ -335,46 +333,24 @@ impl RenderClient {
     /// with [`RenderClient::redeem`], or drop the ticket (the frame still
     /// lands in the server's cache).
     pub fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::SUBMIT, id, &encode_request(request))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::SUBMITTED => Ok(NetTicket {
-                id: decode_ticket(&payload)?,
-            }),
-            opcode::REJECTED => Err(ClientError::Admission(decode_rejected(&payload)?)),
-            opcode::THROTTLED => Err(ClientError::Throttled {
-                retry_after: decode_throttled(&payload)?,
-            }),
-            opcode::TICKETS_FULL => {
-                let (outstanding, limit) = decode_tickets_full(&payload)?;
-                Err(ClientError::TicketsFull { outstanding, limit })
-            }
-            opcode::DRAINING => Err(ClientError::Draining {
-                epoch: decode_epoch(&payload)?,
-            }),
-            other => Err(unexpected(other, &payload)),
+        match self.call(&Request::Submit(Cow::Borrowed(request)))? {
+            Reply::Submitted { ticket } => Ok(NetTicket { id: ticket }),
+            other => Err(refusal(other)),
         }
     }
 
     /// Block until a submitted frame is ready. A ticket redeems once.
     pub fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::REDEEM, id, &encode_ticket(ticket.id))?;
-        let (op, payload) = self.await_reply(id)?;
-        frame_response(op, &payload)
+        frame_response(self.call(&Request::Redeem { ticket: ticket.id })?)
     }
 
     /// Fetch the server's stats: the node's obs snapshot plus per-shard
     /// heat and the merged service report, both rebuilt from the shard
     /// snapshots the reply carries.
     pub fn stats(&self) -> Result<NetStats, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::STATS, id, &[])?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::STATS_REPORT => Ok(decode_stats(&payload)?),
-            other => Err(unexpected(other, &payload)),
+        match self.call(&Request::Stats)? {
+            Reply::StatsReport(stats) => Ok(*stats),
+            other => Err(refusal(other)),
         }
     }
 
@@ -382,12 +358,9 @@ impl RenderClient {
     /// first, at most `max`. Trace ids are the `request_id`s the requests
     /// were submitted under, so a client can find its own.
     pub fn traces(&self, max: u32) -> Result<Vec<CompletedTrace>, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::TRACES, id, &encode_traces_request(max))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::TRACES_REPLY => Ok(decode_traces(&payload)?),
-            other => Err(unexpected(other, &payload)),
+        match self.call(&Request::Traces { max })? {
+            Reply::Traces(traces) => Ok(traces),
+            other => Err(refusal(other)),
         }
     }
 
@@ -398,22 +371,19 @@ impl RenderClient {
     /// an already-draining node is idempotent. Returns the node's drain
     /// state (including how much work is still outstanding).
     pub fn drain(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.drain_control(opcode::DRAIN, epoch)
+        self.drain_control(&Request::Drain { epoch })
     }
 
     /// Undo a drain: the node accepts new work again. Resuming a node that
     /// is not draining is idempotent.
     pub fn resume(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.drain_control(opcode::RESUME, epoch)
+        self.drain_control(&Request::Resume { epoch })
     }
 
-    fn drain_control(&self, op: u8, epoch: u64) -> Result<DrainState, ClientError> {
-        let id = self.fresh_id();
-        self.send(op, id, &encode_epoch(epoch))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::DRAIN_STATE => Ok(decode_drain_state(&payload)?),
-            other => Err(unexpected(other, &payload)),
+    fn drain_control(&self, request: &Request) -> Result<DrainState, ClientError> {
+        match self.call(request)? {
+            Reply::DrainState(state) => Ok(state),
+            other => Err(refusal(other)),
         }
     }
 
@@ -426,16 +396,18 @@ impl RenderClient {
         epoch: u64,
         request: &NetSceneRequest,
     ) -> Result<(u32, bool), ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::PREWARM, id, &encode_prewarm(epoch, request))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::PREWARMED => Ok(decode_prewarmed(&payload)?),
-            opcode::DRAINING => Err(ClientError::Draining {
-                epoch: decode_epoch(&payload)?,
-            }),
-            other => Err(unexpected(other, &payload)),
+        let request = Cow::Borrowed(request);
+        match self.call(&Request::Prewarm(epoch, request))? {
+            Reply::Prewarmed { shard, built } => Ok((shard, built)),
+            other => Err(refusal(other)),
         }
+    }
+
+    /// Send one request and block until its reply.
+    fn call(&self, request: &Request) -> Result<Reply<'static>, ClientError> {
+        let id = self.fresh_id();
+        self.send(id, request)?;
+        self.await_reply(id)
     }
 
     /// Request ids only need to be unique among a connection's
@@ -447,12 +419,16 @@ impl RenderClient {
 
     /// Write one whole request frame (serialized so concurrent requests
     /// never interleave bytes). Fails fast if the connection is poisoned.
-    fn send(&self, op: u8, request_id: u64, payload: &[u8]) -> Result<(), ClientError> {
+    fn send(&self, request_id: u64, request: &Request) -> Result<(), ClientError> {
         if let Some(dead) = &self.mail.lock().expect("client mailbox poisoned").dead {
             return Err(dead.clone());
         }
+        let frame = request.encode(request_id);
         let mut stream = self.write.lock().expect("client write half poisoned");
-        write_frame(&mut *stream, op, request_id, payload)?;
+        stream
+            .write_all(&frame)
+            .and_then(|()| stream.flush())
+            .map_err(WireError::from)?;
         Ok(())
     }
 
@@ -461,11 +437,13 @@ impl RenderClient {
     /// pulls exactly one frame, files it, and wakes everyone; followers
     /// wait on the condvar and re-check. Each frame is read by *somebody*,
     /// so no reply can starve even if its requester arrives late.
-    fn await_reply(&self, id: u64) -> Result<(u8, Vec<u8>), ClientError> {
+    fn await_reply(&self, id: u64) -> Result<Reply<'static>, ClientError> {
         let mut mail = self.mail.lock().expect("client mailbox poisoned");
         loop {
-            if let Some(reply) = mail.inbox.remove(&id) {
-                return Ok(reply);
+            if let Some((op, payload)) = mail.inbox.remove(&id) {
+                // Decode outside the mailbox lock: a FRAME payload is large.
+                drop(mail);
+                return Ok(Reply::decode(op, &payload)?);
             }
             if let Some(dead) = &mail.dead {
                 return Err(dead.clone());
@@ -511,58 +489,57 @@ impl RenderClient {
         if mail.dead.is_some() {
             return; // the first verdict wins
         }
-        mail.dead = Some(match op {
-            opcode::UNSUPPORTED_VERSION => match decode_unsupported_version(&payload) {
-                Ok((got, want)) => ClientError::Protocol(format!(
-                    "server speaks wire protocol v{want}, this client sent v{got}"
-                )),
-                Err(err) => ClientError::Wire(err),
-            },
-            opcode::BAD_REQUEST => match decode_message(&payload) {
-                Ok(echo) => ClientError::Protocol(format!("server rejected request: {echo}")),
-                Err(err) => ClientError::Wire(err),
-            },
+        mail.dead = Some(match Reply::decode(op, &payload) {
+            Ok(verdict @ (Reply::UnsupportedVersion { .. } | Reply::BadRequest { .. })) => {
+                refusal(verdict)
+            }
             // The drained node answered everything and is closing; every
             // later call on this connection gets the typed goodbye rather
             // than a confusing EOF.
-            opcode::GOODBYE => ClientError::Goodbye,
-            other => ClientError::Protocol(format!(
-                "unsolicited frame with opcode {other:#04x} and request id 0"
+            Ok(Reply::Goodbye) => ClientError::Goodbye,
+            Ok(_) => ClientError::Protocol(format!(
+                "unsolicited frame with opcode {op:#04x} and request id 0"
             )),
+            Err(err) => ClientError::Wire(err),
         });
     }
 }
 
-fn frame_response(op: u8, payload: &[u8]) -> Result<NetFrame, ClientError> {
-    match op {
-        opcode::FRAME => Ok(decode_frame(payload)?),
-        opcode::FAILED => Err(ClientError::Render(FrameError::new(decode_message(
-            payload,
-        )?))),
-        opcode::THROTTLED => Err(ClientError::Throttled {
-            retry_after: decode_throttled(payload)?,
+/// A `FRAME` reply as the frame it carries; anything else as its error.
+fn frame_response(reply: Reply<'static>) -> Result<NetFrame, ClientError> {
+    match reply {
+        Reply::Frame(image, from_cache, sim_frame) => Ok(NetFrame {
+            image: image.into_owned(),
+            from_cache,
+            sim_frame,
         }),
-        opcode::REJECTED => Err(ClientError::Admission(decode_rejected(payload)?)),
-        opcode::TICKETS_FULL => {
-            let (outstanding, limit) = decode_tickets_full(payload)?;
-            Err(ClientError::TicketsFull { outstanding, limit })
-        }
-        opcode::DRAINING => Err(ClientError::Draining {
-            epoch: decode_epoch(payload)?,
-        }),
-        other => Err(unexpected(other, payload)),
+        other => Err(refusal(other)),
     }
 }
 
-/// Interpret an out-of-protocol reply: `BAD_REQUEST` echoes the typed
-/// error the server saw; anything else is a protocol violation.
-fn unexpected(op: u8, payload: &[u8]) -> ClientError {
-    if op == opcode::BAD_REQUEST {
-        match decode_message(payload) {
-            Ok(echo) => ClientError::Protocol(format!("server rejected request: {echo}")),
-            Err(err) => ClientError::Wire(err),
+/// The typed client error a refusing (or out-of-protocol) reply stands
+/// for: every in-process error type is restored, a `BAD_REQUEST` echoes
+/// the typed error the server saw, and a success reply to the wrong
+/// request is a protocol violation.
+fn refusal(reply: Reply) -> ClientError {
+    match reply {
+        Reply::Rejected(err) => ClientError::Admission(err),
+        Reply::Throttled { retry_after } => ClientError::Throttled { retry_after },
+        Reply::TicketsFull { outstanding, limit } => {
+            ClientError::TicketsFull { outstanding, limit }
         }
-    } else {
-        ClientError::Protocol(format!("unexpected response opcode {op:#04x}"))
+        Reply::Failed(err) => ClientError::Render(err),
+        Reply::Draining { epoch } => ClientError::Draining { epoch },
+        Reply::Goodbye => ClientError::Goodbye,
+        Reply::BadRequest { message } => {
+            ClientError::Protocol(format!("server rejected request: {message}"))
+        }
+        Reply::UnsupportedVersion { got, want } => ClientError::Protocol(format!(
+            "server speaks wire protocol v{want}, this client sent v{got}"
+        )),
+        other => ClientError::Protocol(format!(
+            "unexpected response opcode {:#04x}",
+            other.opcode()
+        )),
     }
 }

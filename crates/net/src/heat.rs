@@ -173,29 +173,38 @@ fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
 /// snapshot, then each shard's wall time (ns) and snapshot in shard order.
 pub fn encode_stats(stats: &NetStats) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(stats.epoch);
-    put_snapshot(&mut w, &stats.obs);
-    w.u32(stats.shards.len() as u32);
-    for h in &stats.shards {
-        w.u64(u64::try_from(h.report.wall_elapsed.as_nanos()).unwrap_or(u64::MAX));
-        put_snapshot(&mut w, &h.report.snapshot);
-    }
+    put_stats(&mut w, stats);
     w.into_bytes()
 }
 
 /// Decode a `STATS_REPORT` payload; consumes the whole payload.
 pub fn decode_stats(payload: &[u8]) -> Result<NetStats, WireError> {
     let mut r = Reader::new(payload);
+    let stats = get_stats(&mut r)?;
+    r.finish()?;
+    Ok(stats)
+}
+
+pub(crate) fn put_stats(w: &mut Writer, stats: &NetStats) {
+    w.u64(stats.epoch);
+    put_snapshot(w, &stats.obs);
+    w.u32(stats.shards.len() as u32);
+    for h in &stats.shards {
+        w.u64(u64::try_from(h.report.wall_elapsed.as_nanos()).unwrap_or(u64::MAX));
+        put_snapshot(w, &h.report.snapshot);
+    }
+}
+
+pub(crate) fn get_stats(r: &mut Reader) -> Result<NetStats, WireError> {
     let epoch = r.u64()?;
-    let obs = get_snapshot(&mut r)?;
+    let obs = get_snapshot(r)?;
     // Each shard is at least its wall time plus three empty section counts.
     let n = r.count(8 + 3 * 4)?;
     let mut shard_reports = Vec::with_capacity(n);
     for _ in 0..n {
         let wall = std::time::Duration::from_nanos(r.u64()?);
-        shard_reports.push(ServiceReport::from_snapshot(get_snapshot(&mut r)?, wall));
+        shard_reports.push(ServiceReport::from_snapshot(get_snapshot(r)?, wall));
     }
-    r.finish()?;
     Ok(NetStats::new(epoch, obs, shard_reports))
 }
 

@@ -29,6 +29,7 @@
 //! clean close; a client that vanishes mid-request is reaped on the next
 //! readiness event. Other connections never notice any of it.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -36,19 +37,17 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mgpu_obs::names;
 use mgpu_obs::{Counter, Gauge, Registry, Trace};
 use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, ShardedService};
 
-use crate::heat::{encode_stats, NetStats};
+use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
-    self, decode_epoch, decode_ping, decode_prewarm, decode_request, decode_ticket,
-    encode_drain_state, encode_epoch, encode_frame, encode_message, encode_pong, encode_prewarmed,
-    encode_rejected, encode_throttled, encode_ticket, frame_bytes, opcode, DrainState, WireError,
-    DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
+    self, opcode, DrainState, NetSceneRequest, Reply, Request, WireError, DEFAULT_MAX_PAYLOAD,
+    HEADER_BYTES,
 };
 
 /// Server tuning knobs.
@@ -416,6 +415,10 @@ impl Conn {
         self.out.push_back(frame);
     }
 
+    fn reply(&mut self, request_id: u64, reply: &Reply) {
+        self.send(reply.encode(request_id));
+    }
+
     /// Requests currently holding server-side state for this session.
     fn outstanding(&self) -> usize {
         self.in_flight.len() + self.tickets.len()
@@ -656,14 +659,11 @@ impl RenderServer {
                     while let Ok(job) = prewarm_rx.recv() {
                         let (shard, built) = shared.sharded.prewarm(&job.request);
                         shared.obs.counter(names::NET_PREWARMS).inc();
-                        shared.notifier.reply(
-                            job.conn,
-                            frame_bytes(
-                                opcode::PREWARMED,
-                                job.request_id,
-                                &encode_prewarmed(shard as u32, built),
-                            ),
-                        );
+                        let shard = shard as u32;
+                        let reply = Reply::Prewarmed { shard, built };
+                        shared
+                            .notifier
+                            .reply(job.conn, reply.encode(job.request_id));
                     }
                 })
                 .expect("spawn prewarm worker")
@@ -814,7 +814,7 @@ impl EventLoop {
                 if empty {
                     for conn in self.conns.values_mut() {
                         if conn.carried_work && !conn.closing {
-                            conn.send(frame_bytes(opcode::GOODBYE, 0, &[]));
+                            conn.reply(0, &Reply::Goodbye);
                             conn.closing = true;
                             self.shared.obs.counter(names::NET_GOODBYES).inc();
                         }
@@ -954,14 +954,14 @@ impl EventLoop {
             match done.mode {
                 Done::Render => {
                     conn.in_flight.remove(&done.request_id);
-                    conn.send(frame_reply(done.request_id, &done.result));
+                    conn.reply(done.request_id, &frame_reply(&done.result));
                 }
                 Done::Ticket => {
                     if let Some(redeem_id) = conn.redeems.remove(&done.request_id) {
                         // A REDEEM was already parked on this ticket:
                         // answer it now, tagged with the redeem's own id.
                         conn.tickets.remove(&done.request_id);
-                        conn.send(frame_reply(redeem_id, &done.result));
+                        conn.reply(redeem_id, &frame_reply(&done.result));
                     } else if let Some(state) = conn.tickets.get_mut(&done.request_id) {
                         *state = TicketState::Ready(done.result);
                     }
@@ -1002,16 +1002,12 @@ impl EventLoop {
                     // reply (the v2 migration path); everything else the
                     // BAD_REQUEST echo.
                     let reply = match err {
-                        WireError::UnsupportedVersion { got, want } => frame_bytes(
-                            opcode::UNSUPPORTED_VERSION,
-                            0,
-                            &wire::encode_unsupported_version(got, want),
-                        ),
-                        other => {
-                            frame_bytes(opcode::BAD_REQUEST, 0, &encode_message(&other.to_string()))
+                        WireError::UnsupportedVersion { got, want } => {
+                            Reply::UnsupportedVersion { got, want }
                         }
+                        other => bad_request(&other),
                     };
-                    conn.send(reply);
+                    conn.reply(0, &reply);
                     conn.closing = true;
                     self.flush_conn(token);
                     return;
@@ -1033,6 +1029,8 @@ impl EventLoop {
     /// connection's write buffer, tagged with the request's id.
     fn dispatch(&mut self, token: u64, op: u8, request_id: u64, payload: &[u8]) {
         let shared = Arc::clone(&self.shared);
+        // A render's `admit` span covers the door checks and the decode.
+        let admit_start = Instant::now();
         // Drain-state replies report what the whole node still owes, which
         // must be summed before the per-connection borrow below.
         let total_outstanding: u64 = if op == opcode::DRAIN || op == opcode::RESUME {
@@ -1043,58 +1041,51 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // A draining node refuses *new* work — typed, per-request, and the
-        // connection survives (in-flight replies and parked redeems still
-        // flow). The epoch tells the refused client how stale it is.
-        // SeqCst (flag and epoch): a DRAINING refusal must carry an epoch
-        // at least as new as the DRAIN that set the flag — both sides of
-        // the refusal read one total order.
-        if (op == opcode::RENDER || op == opcode::SUBMIT) && shared.draining.load(Ordering::SeqCst)
-        {
-            shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
-            conn.send(frame_bytes(
-                opcode::DRAINING,
-                request_id,
-                // SeqCst: ordered after the draining flag read above.
-                &encode_epoch(shared.epoch.load(Ordering::SeqCst)),
-            ));
-            self.flush_conn(token);
-            return;
-        }
-        match op {
-            opcode::PING => match decode_ping(payload) {
-                Ok(echo) => {
-                    let shards = shared.sharded.shard_count() as u32;
-                    conn.send(frame_bytes(
-                        opcode::PONG,
-                        request_id,
-                        &encode_pong(echo, shards),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::STATS => {
-                let stats = net_stats(&shared);
-                conn.send(frame_bytes(
-                    opcode::STATS_REPORT,
-                    request_id,
-                    &encode_stats(&stats),
-                ));
+        if op == opcode::RENDER || op == opcode::SUBMIT {
+            if let Some(refusal) = door_refusal(&shared, conn, request_id) {
+                conn.reply(request_id, &refusal);
+                self.flush_conn(token);
+                return;
             }
-            opcode::TRACES => match wire::decode_traces_request(payload) {
-                Ok(max) => {
-                    let traces = mgpu_obs::ring().recent(max as usize);
-                    conn.send(frame_bytes(
-                        opcode::TRACES_REPLY,
-                        request_id,
-                        &wire::encode_traces(&traces),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::RENDER => {
-                let admit_start = Instant::now();
-                if let Some(request) = admit(&shared, conn, token, request_id, payload) {
+        }
+        let request = match Request::decode(op, payload) {
+            Ok(request) => request,
+            Err(err) => {
+                conn.reply(request_id, &bad_request(&err));
+                // A peer dispatching unknown requests is not speaking this
+                // protocol: reply typed, then close. A bad payload poisons
+                // only its own request.
+                conn.closing = matches!(err, WireError::UnknownOpcode(_));
+                self.flush_conn(token);
+                return;
+            }
+        };
+        match request {
+            Request::Ping { token: echo } => {
+                let shards = shared.sharded.shard_count() as u32;
+                conn.reply(
+                    request_id,
+                    &Reply::Pong {
+                        token: echo,
+                        shards,
+                    },
+                );
+            }
+            Request::Stats => {
+                let stats = Box::new(net_stats(&shared));
+                conn.reply(request_id, &Reply::StatsReport(stats));
+            }
+            Request::Traces { max } => {
+                let traces = mgpu_obs::ring().recent(max as usize);
+                conn.reply(request_id, &Reply::Traces(traces));
+            }
+            Request::Render(net) | Request::Submit(net) => {
+                if let Some(request) = admit(&shared, conn, request_id, &net) {
+                    let mode = if op == opcode::RENDER {
+                        Done::Render
+                    } else {
+                        Done::Ticket
+                    };
                     // The trace id IS the wire request id: a client can
                     // correlate a TRACES row with its own request.
                     let trace = Trace::start(request_id);
@@ -1108,168 +1099,91 @@ impl EventLoop {
                                 notifier.complete(Completion {
                                     conn: token,
                                     request_id,
-                                    mode: Done::Render,
+                                    mode,
                                     result,
                                     trace: reply_trace,
                                 })
                             });
                     match submitted {
                         Ok(()) => {
-                            conn.in_flight.insert(request_id);
                             conn.carried_work = true;
-                        }
-                        Err(admission) => conn.send(frame_bytes(
-                            opcode::REJECTED,
-                            request_id,
-                            &encode_rejected(&admission),
-                        )),
-                    }
-                }
-            }
-            opcode::SUBMIT => {
-                let admit_start = Instant::now();
-                if let Some(request) = admit(&shared, conn, token, request_id, payload) {
-                    let trace = Trace::start(request_id);
-                    trace.record_since("admit", admit_start);
-                    let notifier = Arc::clone(&shared.notifier);
-                    let reply_trace = Arc::clone(&trace);
-                    let submitted =
-                        shared
-                            .sharded
-                            .try_submit_traced(request, trace, move |result| {
-                                notifier.complete(Completion {
-                                    conn: token,
-                                    request_id,
-                                    mode: Done::Ticket,
-                                    result,
-                                    trace: reply_trace,
-                                })
-                            });
-                    match submitted {
-                        Ok(()) => {
-                            conn.tickets.insert(request_id, TicketState::Pending);
-                            conn.carried_work = true;
-                            conn.send(frame_bytes(
-                                opcode::SUBMITTED,
-                                request_id,
-                                &encode_ticket(request_id),
-                            ));
-                        }
-                        Err(admission) => conn.send(frame_bytes(
-                            opcode::REJECTED,
-                            request_id,
-                            &encode_rejected(&admission),
-                        )),
-                    }
-                }
-            }
-            opcode::REDEEM => match decode_ticket(payload) {
-                Ok(ticket_id) => match conn.tickets.get_mut(&ticket_id) {
-                    Some(TicketState::Ready(_)) => {
-                        let Some(TicketState::Ready(result)) = conn.tickets.remove(&ticket_id)
-                        else {
-                            unreachable!("checked Ready above");
-                        };
-                        conn.send(frame_reply(request_id, &result));
-                    }
-                    Some(TicketState::Pending) => match conn.redeems.entry(ticket_id) {
-                        // Park the redeem: the completion answers it.
-                        Entry::Vacant(slot) => {
-                            slot.insert(request_id);
-                        }
-                        Entry::Occupied(_) => {
-                            let err = WireError::Malformed(format!(
-                                "ticket {ticket_id} is already being redeemed"
-                            ));
-                            bad_request(conn, request_id, &err);
-                        }
-                    },
-                    None => {
-                        let err = WireError::Malformed(format!("unknown ticket {ticket_id}"));
-                        bad_request(conn, request_id, &err);
-                    }
-                },
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::DRAIN | opcode::RESUME => match decode_epoch(payload) {
-                Ok(epoch) => {
-                    // SeqCst: the epoch bump must be ordered *before* the
-                    // draining-flag flip in the one total order every
-                    // reader (STATS, refusals, the event loop) uses — a
-                    // refusal observed after this swap always carries at
-                    // least this epoch.
-                    shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-                    let draining = op == opcode::DRAIN;
-                    // SeqCst: see the fetch_max above — flag and epoch
-                    // share one order.
-                    let was = shared.draining.swap(draining, Ordering::SeqCst);
-                    // Idempotent: repeating the current state is a no-op
-                    // (and not a counted transition).
-                    if draining && !was {
-                        shared.obs.counter(names::NET_DRAINS).inc();
-                    } else if !draining && was {
-                        shared.obs.counter(names::NET_RESUMES).inc();
-                    }
-                    conn.send(frame_bytes(
-                        opcode::DRAIN_STATE,
-                        request_id,
-                        &encode_drain_state(DrainState {
-                            draining,
-                            outstanding: total_outstanding,
-                            // SeqCst: the reply must echo an epoch no older
-                            // than the bump this same request applied.
-                            epoch: shared.epoch.load(Ordering::SeqCst),
-                        }),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::PREWARM => match decode_prewarm(payload) {
-                Ok((epoch, request)) => {
-                    // SeqCst: prewarms carry the controller's epoch; the
-                    // bump joins the same total order as drain/resume so a
-                    // later STATS echo can never regress.
-                    shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-                    match request.to_parts() {
-                        Ok((spec, volume, scene, config, priority)) => {
-                            let job = PrewarmJob {
-                                conn: token,
-                                request_id,
-                                request: SceneRequest {
-                                    spec,
-                                    volume,
-                                    scene,
-                                    config,
-                                    priority,
-                                },
-                            };
-                            let tx = shared
-                                .prewarm_tx
-                                .lock()
-                                .expect("prewarm sender poisoned")
-                                .clone();
-                            // The worker answers PREWARMED when the plan is
-                            // built; with the worker gone (shutdown racing
-                            // in) answer built=false so the peer never
-                            // hangs.
-                            if tx.map(|tx| tx.send(job).is_ok()) != Some(true) {
-                                conn.send(frame_bytes(
-                                    opcode::PREWARMED,
-                                    request_id,
-                                    &encode_prewarmed(0, false),
-                                ));
+                            if mode == Done::Render {
+                                conn.in_flight.insert(request_id);
+                            } else {
+                                conn.tickets.insert(request_id, TicketState::Pending);
+                                let ticket = request_id;
+                                conn.reply(request_id, &Reply::Submitted { ticket });
                             }
                         }
-                        Err(err) => bad_request(conn, request_id, &err),
+                        Err(admission) => conn.reply(request_id, &Reply::Rejected(admission)),
                     }
                 }
-                Err(err) => bad_request(conn, request_id, &err),
+            }
+            Request::Redeem { ticket } => match conn.tickets.get(&ticket) {
+                Some(TicketState::Ready(_)) => {
+                    if let Some(TicketState::Ready(result)) = conn.tickets.remove(&ticket) {
+                        conn.reply(request_id, &frame_reply(&result));
+                    }
+                }
+                Some(TicketState::Pending) => match conn.redeems.entry(ticket) {
+                    // Park the redeem: the completion answers it.
+                    Entry::Vacant(slot) => {
+                        slot.insert(request_id);
+                    }
+                    Entry::Occupied(_) => {
+                        let err = WireError::Malformed(format!(
+                            "ticket {ticket} is already being redeemed"
+                        ));
+                        conn.reply(request_id, &bad_request(&err));
+                    }
+                },
+                None => {
+                    let err = WireError::Malformed(format!("unknown ticket {ticket}"));
+                    conn.reply(request_id, &bad_request(&err));
+                }
             },
-            other => {
-                // A peer dispatching unknown requests is not speaking this
-                // protocol: reply typed, then close.
-                bad_request(conn, request_id, &WireError::UnknownOpcode(other));
-                conn.closing = true;
+            Request::Drain { epoch } | Request::Resume { epoch } => {
+                let draining = op == opcode::DRAIN;
+                let state = set_draining(&shared, epoch, draining, total_outstanding);
+                conn.reply(request_id, &Reply::DrainState(state));
+            }
+            Request::Prewarm(epoch, request) => {
+                // SeqCst: prewarms carry the controller's epoch; the
+                // bump joins the same total order as drain/resume so a
+                // later STATS echo can never regress.
+                shared.epoch.fetch_max(epoch, Ordering::SeqCst);
+                match request.to_parts() {
+                    Ok((spec, volume, scene, config, priority)) => {
+                        let job = PrewarmJob {
+                            conn: token,
+                            request_id,
+                            request: SceneRequest {
+                                spec,
+                                volume,
+                                scene,
+                                config,
+                                priority,
+                            },
+                        };
+                        let tx = shared
+                            .prewarm_tx
+                            .lock()
+                            .expect("prewarm sender poisoned")
+                            .clone();
+                        // The worker answers PREWARMED when the plan is
+                        // built; with the worker gone (shutdown racing
+                        // in) answer built=false so the peer never
+                        // hangs.
+                        if tx.map(|tx| tx.send(job).is_ok()) != Some(true) {
+                            let refused = Reply::Prewarmed {
+                                shard: 0,
+                                built: false,
+                            };
+                            conn.reply(request_id, &refused);
+                        }
+                    }
+                    Err(err) => conn.reply(request_id, &bad_request(&err)),
+                }
             }
         }
         // Opportunistic flush: most replies fit the socket buffer and go
@@ -1278,62 +1192,63 @@ impl EventLoop {
     }
 }
 
-/// The server door for `RENDER`/`SUBMIT`: decode, validate, bound the
-/// session's outstanding requests, reject duplicate request ids, then
-/// rate-limit — each refusal answered inline, tagged with the request id.
-/// Returns the request only once it is clear to submit.
-fn admit(
-    shared: &Shared,
-    conn: &mut Conn,
-    _token: u64,
-    request_id: u64,
-    payload: &[u8],
-) -> Option<SceneRequest> {
-    // Multiplexing invariant first: an id may name only one outstanding
-    // request at a time, or replies would be unattributable.
+/// The `RENDER`/`SUBMIT` refusals that need no payload, in precedence
+/// order: a draining node, a request id already outstanding on this
+/// connection, then the session's outstanding-request bound. Only a request
+/// past all three has its payload decoded.
+fn door_refusal(shared: &Shared, conn: &Conn, request_id: u64) -> Option<Reply<'static>> {
+    // A draining node refuses *new* work — typed, per-request, and the
+    // connection survives (in-flight replies and parked redeems still
+    // flow). The epoch tells the refused client how stale it is.
+    // SeqCst (flag and epoch): a DRAINING refusal must carry an epoch at
+    // least as new as the DRAIN that set the flag — both sides of the
+    // refusal read one total order.
+    if shared.draining.load(Ordering::SeqCst) {
+        shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
+        // SeqCst: ordered after the draining flag read above.
+        let epoch = shared.epoch.load(Ordering::SeqCst);
+        return Some(Reply::Draining { epoch });
+    }
+    // Multiplexing invariant: an id may name only one outstanding request
+    // at a time, or replies would be unattributable.
     if conn.id_in_use(request_id) {
         let err = WireError::Malformed(format!("duplicate request id {request_id}"));
-        bad_request(conn, request_id, &err);
-        return None;
+        return Some(bad_request(&err));
     }
     // Bound outstanding state BEFORE admitting: every in-flight render or
     // parked ticket eventually pins a rendered frame, so a client that
     // never consumes replies must not grow server memory without limit.
     if conn.outstanding() >= shared.config.max_tickets_per_session {
-        conn.send(frame_bytes(
-            opcode::TICKETS_FULL,
-            request_id,
-            &wire::encode_tickets_full(
-                conn.outstanding() as u64,
-                shared.config.max_tickets_per_session as u64,
-            ),
-        ));
-        return None;
+        return Some(Reply::TicketsFull {
+            outstanding: conn.outstanding() as u64,
+            limit: shared.config.max_tickets_per_session as u64,
+        });
     }
-    let request = match decode_request(payload) {
-        Ok(request) => request,
-        Err(err) => {
-            bad_request(conn, request_id, &err);
-            return None;
-        }
-    };
-    // Validate fully BEFORE spending a rate-limit token: a malformed
-    // request never renders, so it must not burn the session's budget.
+    None
+}
+
+/// The rest of the door for a decoded `RENDER`/`SUBMIT`: validate fully,
+/// then rate-limit — each refusal answered inline, tagged with the request
+/// id. Returns the request only once it is clear to submit.
+fn admit(
+    shared: &Shared,
+    conn: &mut Conn,
+    request_id: u64,
+    request: &NetSceneRequest,
+) -> Option<SceneRequest> {
+    // Validate BEFORE spending a rate-limit token: a malformed request
+    // never renders, so it must not burn the session's budget.
     let (spec, volume, scene, config, priority) = match request.to_parts() {
         Ok(parts) => parts,
         Err(err) => {
-            bad_request(conn, request_id, &err);
+            conn.reply(request_id, &bad_request(&err));
             return None;
         }
     };
     if let Some(bucket) = &mut conn.bucket {
         if let Err(retry_after) = bucket.try_take() {
             shared.throttled.inc();
-            conn.send(frame_bytes(
-                opcode::THROTTLED,
-                request_id,
-                &encode_throttled(retry_after),
-            ));
+            conn.reply(request_id, &Reply::Throttled { retry_after });
             return None;
         }
     }
@@ -1346,35 +1261,56 @@ fn admit(
     })
 }
 
-/// Redeem a completed render into a `FRAME` or `FAILED` reply frame.
-fn frame_reply(request_id: u64, result: &FrameResult) -> Vec<u8> {
+/// Enter (`DRAIN`) or leave (`RESUME`) the draining state, remembering the
+/// announced epoch; idempotent. Returns the node's drain state.
+fn set_draining(shared: &Shared, epoch: u64, draining: bool, outstanding: u64) -> DrainState {
+    // SeqCst: the epoch bump must be ordered *before* the draining-flag
+    // flip in the one total order every reader (STATS, refusals, the event
+    // loop) uses — a refusal observed after this swap always carries at
+    // least this epoch.
+    shared.epoch.fetch_max(epoch, Ordering::SeqCst);
+    // SeqCst: see the fetch_max above — flag and epoch share one order.
+    let was = shared.draining.swap(draining, Ordering::SeqCst);
+    // Repeating the current state is a no-op (and not a counted
+    // transition).
+    if draining && !was {
+        shared.obs.counter(names::NET_DRAINS).inc();
+    } else if !draining && was {
+        shared.obs.counter(names::NET_RESUMES).inc();
+    }
+    DrainState {
+        draining,
+        outstanding,
+        // SeqCst: the reply must echo an epoch no older than the bump this
+        // same request applied.
+        epoch: shared.epoch.load(Ordering::SeqCst),
+    }
+}
+
+/// A completed render as its `FRAME` or `FAILED` reply, borrowing the
+/// rendered image.
+fn frame_reply(result: &FrameResult) -> Reply<'_> {
     match result {
         Ok(frame) => {
             // Cache hits re-deliver a previously rendered frame: their
             // simulated frame time is zero (same convention as the
             // in-process `BackendFrame`), not the original render's time.
-            let sim_nanos = if frame.from_cache {
-                0
+            let sim_frame = if frame.from_cache {
+                Duration::ZERO
             } else {
-                frame.report.runtime().nanos()
+                Duration::from_nanos(frame.report.runtime().nanos())
             };
-            frame_bytes(
-                opcode::FRAME,
-                request_id,
-                &encode_frame(&frame.image, frame.from_cache, sim_nanos),
-            )
+            Reply::Frame(Cow::Borrowed(&frame.image), frame.from_cache, sim_frame)
         }
-        Err(err) => frame_bytes(opcode::FAILED, request_id, &encode_message(err.message())),
+        Err(err) => Reply::Failed(err.clone()),
     }
 }
 
 /// Echo a payload-level error; the connection survives.
-fn bad_request(conn: &mut Conn, request_id: u64, err: &WireError) {
-    conn.send(frame_bytes(
-        opcode::BAD_REQUEST,
-        request_id,
-        &encode_message(&err.to_string()),
-    ));
+fn bad_request(err: &WireError) -> Reply<'static> {
+    Reply::BadRequest {
+        message: err.to_string(),
+    }
 }
 
 #[cfg(test)]

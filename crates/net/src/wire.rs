@@ -1,5 +1,7 @@
 //! The wire format: a versioned, length-prefixed binary framing plus the
-//! encode/decode of every request and response payload. Hand-rolled over
+//! protocol's one codec, the [`Request`] and [`Reply`] enums — one variant
+//! per opcode, each with one `encode` and one `decode`, so the pairing of
+//! an opcode with its payload lives in exactly one place. Hand-rolled over
 //! `std` only — the build environment has no registry access, and the
 //! format is small enough that explicit little-endian field writes are
 //! clearer than a serializer anyway.
@@ -32,7 +34,8 @@
 //!
 //! Every decode error is a typed [`WireError`]; malformed and truncated
 //! input can never panic the peer (a property test drives arbitrary
-//! corruption through [`decode_request`]/[`read_frame`]).
+//! corruption through [`Request::decode`], [`Reply::decode`] and
+//! [`read_frame`]).
 //!
 //! ### Migration from v2
 //!
@@ -41,21 +44,25 @@
 //! with a typed [`WireError::UnsupportedVersion`]. The server goes one step
 //! further: a request frame carrying any version other than [`VERSION`] is
 //! answered with a typed [`opcode::UNSUPPORTED_VERSION`] reply (payload:
-//! `got`, `want` as u16s, see [`encode_unsupported_version`]) before the
+//! `got`, `want` as u16s, see [`Reply::UnsupportedVersion`]) before the
 //! connection closes cleanly — a v2 client sees an orderly refusal instead
 //! of a silent disconnect.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_mapreduce::{Assignment, TraceOptions};
-use mgpu_serve::{AdmissionError, Priority};
+use mgpu_obs::{CompletedTrace, SpanRecord};
+use mgpu_serve::{AdmissionError, FrameError, Priority};
 use mgpu_voldata::{Dataset, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::config::{Compositor, PartitionStrategy, RenderConfig, Residency};
 use mgpu_volren::transfer::ControlPoint;
-use mgpu_volren::TransferFunction;
+use mgpu_volren::{Image, TransferFunction};
+
+use crate::heat::{get_stats, put_stats, NetStats};
 
 /// Frame magic: the ASCII bytes `MGPU` as a little-endian `u32`
 /// (`0x5550474D`) — a packet capture shows the literal characters "MGPU"
@@ -97,8 +104,8 @@ pub mod opcode {
     pub const TRACES: u8 = 0x06;
     /// Put the server into the draining state (payload: the controller's
     /// directory epoch as a u64): in-flight work and parked redeems still
-    /// answer, new `RENDER`/`SUBMIT`/`PREWARM` get a typed [`DRAINING`]
-    /// reply, and the server says [`GOODBYE`] once it owes nothing more.
+    /// answer, new `RENDER`/`SUBMIT` get a typed [`DRAINING`] reply, and
+    /// the server says [`GOODBYE`] once it owes nothing more.
     /// Idempotent; answered with [`DRAIN_STATE`]. New in v4.
     pub const DRAIN: u8 = 0x07;
     /// Leave the draining state (payload: epoch, like [`DRAIN`]) — the
@@ -128,7 +135,7 @@ pub mod opcode {
     /// reply flushes. New in v3 — the migration path for v2 clients.
     pub const UNSUPPORTED_VERSION: u8 = 0x89;
     /// Reply to [`TRACES`]: the newest completed traces, newest first (see
-    /// [`crate::wire::encode_traces`]).
+    /// [`crate::wire::Reply::Traces`]).
     pub const TRACES_REPLY: u8 = 0x8A;
     /// Reply to [`DRAIN`] / [`RESUME`]: whether the server is draining,
     /// how many requests it still owes (in-flight renders + un-redeemed
@@ -142,7 +149,7 @@ pub mod opcode {
     /// owes nothing more: every outstanding request has been answered and
     /// the connection closes after this frame flushes. New in v4.
     pub const GOODBYE: u8 = 0x8D;
-    /// Typed refusal of `RENDER`/`SUBMIT`/`PREWARM` while the server is
+    /// Typed refusal of `RENDER`/`SUBMIT` while the server is
     /// draining (payload: the server's directory epoch, so a stale client
     /// learns placement moved on without it). The connection stays open —
     /// redeems and stats still answer. New in v4.
@@ -289,8 +296,12 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let have = self.buf.len() - self.pos;
+        let have = self.remaining();
         if have < n {
             return Err(WireError::Truncated { needed: n, have });
         }
@@ -333,7 +344,7 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self, bytes_per_item: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         let needed = n.saturating_mul(bytes_per_item.max(1));
-        let have = self.buf.len() - self.pos;
+        let have = self.remaining();
         if needed > have {
             return Err(WireError::Truncated { needed, have });
         }
@@ -345,12 +356,6 @@ impl<'a> Reader<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// Everything not yet consumed — for envelope decoders that hand the
-    /// tail to an inner decoder (`decode_prewarm` → `decode_request`).
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
     }
 
     /// Assert the payload is fully consumed (decoders call this last, so a
@@ -744,6 +749,10 @@ fn get_priority(r: &mut Reader) -> Result<Priority, WireError> {
     }
 }
 
+/// A duration as whole nanoseconds, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 fn put_config(w: &mut Writer, cfg: &RenderConfig) {
     w.u32(cfg.image.0);
     w.u32(cfg.image.1);
@@ -860,9 +869,23 @@ fn get_config(r: &mut Reader) -> Result<RenderConfig, WireError> {
     })
 }
 
-/// Encode a render request payload (`RENDER` and `SUBMIT` share it).
+/// Encode a render request payload: the whole `RENDER`/`SUBMIT` payload,
+/// and the tail of `PREWARM`'s.
 pub fn encode_request(req: &NetSceneRequest) -> Vec<u8> {
     let mut w = Writer::new();
+    put_request(&mut w, req);
+    w.into_bytes()
+}
+
+/// Decode a render request payload; consumes the whole payload.
+pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
+    let mut r = Reader::new(payload);
+    let request = get_request(&mut r)?;
+    r.finish()?;
+    Ok(request)
+}
+
+fn put_request(w: &mut Writer, req: &NetSceneRequest) {
     w.u32(req.gpus);
     w.u32(req.gpus_per_node);
     match &req.volume {
@@ -927,14 +950,11 @@ pub fn encode_request(req: &NetSceneRequest) -> Vec<u8> {
     for c in req.background {
         w.f32(c);
     }
-    put_config(&mut w, &req.config);
-    put_priority(&mut w, req.priority);
-    w.into_bytes()
+    put_config(w, &req.config);
+    put_priority(w, req.priority);
 }
 
-/// Decode a render request payload; consumes the whole payload.
-pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
-    let mut r = Reader::new(payload);
+fn get_request(r: &mut Reader) -> Result<NetSceneRequest, WireError> {
     let gpus = r.u32()?;
     let gpus_per_node = r.u32()?;
     let volume = match r.u8()? {
@@ -989,9 +1009,8 @@ pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
         other => return Err(WireError::Malformed(format!("transfer tag {other}"))),
     };
     let background = [r.f32()?, r.f32()?, r.f32()?, r.f32()?];
-    let config = get_config(&mut r)?;
-    let priority = get_priority(&mut r)?;
-    r.finish()?;
+    let config = get_config(r)?;
+    let priority = get_priority(r)?;
     Ok(NetSceneRequest {
         gpus,
         gpus_per_node,
@@ -1004,211 +1023,12 @@ pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Simple response payloads (frame/stats encodings live in `crate::heat`)
-// ---------------------------------------------------------------------------
-
-pub fn encode_ping(token: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(token);
-    w.into_bytes()
-}
-
-pub fn decode_ping(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let token = r.u64()?;
-    r.finish()?;
-    Ok(token)
-}
-
-pub fn encode_pong(token: u64, shards: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(token);
-    w.u32(shards);
-    w.into_bytes()
-}
-
-pub fn decode_pong(payload: &[u8]) -> Result<(u64, u32), WireError> {
-    let mut r = Reader::new(payload);
-    let token = r.u64()?;
-    let shards = r.u32()?;
-    r.finish()?;
-    Ok((token, shards))
-}
-
-pub fn encode_ticket(ticket: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(ticket);
-    w.into_bytes()
-}
-
-pub fn decode_ticket(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let ticket = r.u64()?;
-    r.finish()?;
-    Ok(ticket)
-}
-
-/// `REJECTED`: an [`AdmissionError`] crossing the socket intact.
-pub fn encode_rejected(err: &AdmissionError) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_priority(&mut w, err.priority);
-    w.u64(err.queued as u64);
-    w.u64(err.limit as u64);
-    w.into_bytes()
-}
-
-pub fn decode_rejected(payload: &[u8]) -> Result<AdmissionError, WireError> {
-    let mut r = Reader::new(payload);
-    let priority = get_priority(&mut r)?;
-    let queued = r.u64()? as usize;
-    let limit = r.u64()? as usize;
-    r.finish()?;
-    Ok(AdmissionError {
-        priority,
-        queued,
-        limit,
-    })
-}
-
-/// `TICKETS_FULL`: the session's un-redeemed ticket count and its bound.
-pub fn encode_tickets_full(outstanding: u64, limit: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(outstanding);
-    w.u64(limit);
-    w.into_bytes()
-}
-
-pub fn decode_tickets_full(payload: &[u8]) -> Result<(u64, u64), WireError> {
-    let mut r = Reader::new(payload);
-    let outstanding = r.u64()?;
-    let limit = r.u64()?;
-    r.finish()?;
-    Ok((outstanding, limit))
-}
-
-/// `UNSUPPORTED_VERSION`: the version the peer sent and the version this
-/// build speaks — the typed refusal a v2 client receives before the server
-/// closes the connection.
-pub fn encode_unsupported_version(got: u16, want: u16) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u16(got);
-    w.u16(want);
-    w.into_bytes()
-}
-
-pub fn decode_unsupported_version(payload: &[u8]) -> Result<(u16, u16), WireError> {
-    let mut r = Reader::new(payload);
-    let got = r.u16()?;
-    let want = r.u16()?;
-    r.finish()?;
-    Ok((got, want))
-}
-
-pub fn encode_throttled(retry_after: Duration) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(retry_after.as_nanos().min(u64::MAX as u128) as u64);
-    w.into_bytes()
-}
-
-pub fn decode_throttled(payload: &[u8]) -> Result<Duration, WireError> {
-    let mut r = Reader::new(payload);
-    let nanos = r.u64()?;
-    r.finish()?;
-    Ok(Duration::from_nanos(nanos))
-}
-
-/// A draining server's answer to `DRAIN`/`RESUME`: its current mode, how
-/// much it still owes, and the newest directory epoch it has been told —
-/// what a drain controller polls until `outstanding` reaches zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainState {
-    /// New `RENDER`/`SUBMIT`/`PREWARM` are being refused with `DRAINING`.
-    pub draining: bool,
-    /// In-flight renders + un-redeemed tickets + parked redeems, across
-    /// every session on the server. Zero while draining means the server
-    /// is about to say `GOODBYE`.
-    pub outstanding: u64,
-    /// Highest directory epoch any controller has announced to this
-    /// server (echoed in STATS too): a client whose directory is older is
-    /// stale.
-    pub epoch: u64,
-}
-
-/// `DRAIN` / `RESUME` / `DRAINING`: a bare directory epoch.
-pub fn encode_epoch(epoch: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(epoch);
-    w.into_bytes()
-}
-
-pub fn decode_epoch(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    r.finish()?;
-    Ok(epoch)
-}
-
-/// `DRAIN_STATE`: draining flag + outstanding count + epoch.
-pub fn encode_drain_state(state: DrainState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bool(state.draining);
-    w.u64(state.outstanding);
-    w.u64(state.epoch);
-    w.into_bytes()
-}
-
-pub fn decode_drain_state(payload: &[u8]) -> Result<DrainState, WireError> {
-    let mut r = Reader::new(payload);
-    let draining = r.bool()?;
-    let outstanding = r.u64()?;
-    let epoch = r.u64()?;
-    r.finish()?;
-    Ok(DrainState {
-        draining,
-        outstanding,
-        epoch,
-    })
-}
-
-/// `PREWARM`: the announcing controller's epoch, then a full render
-/// request (a `BatchKey` alone cannot rebuild a plan — the destination
-/// needs the spec, volume and config the key was derived from).
-pub fn encode_prewarm(epoch: u64, request: &NetSceneRequest) -> Vec<u8> {
-    let mut bytes = encode_epoch(epoch);
-    bytes.extend_from_slice(&encode_request(request));
-    bytes
-}
-
-pub fn decode_prewarm(payload: &[u8]) -> Result<(u64, NetSceneRequest), WireError> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    let request = decode_request(r.rest())?;
-    Ok((epoch, request))
-}
-
-/// `PREWARMED`: owning shard index + whether a plan was newly built.
-pub fn encode_prewarmed(shard: u32, built: bool) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(shard);
-    w.bool(built);
-    w.into_bytes()
-}
-
-pub fn decode_prewarmed(payload: &[u8]) -> Result<(u32, bool), WireError> {
-    let mut r = Reader::new(payload);
-    let shard = r.u32()?;
-    let built = r.bool()?;
-    r.finish()?;
-    Ok((shard, built))
-}
-
 /// A rendered frame as delivered across the socket: the exact image a
 /// direct render would produce (floats travel by bit pattern), plus the
 /// cache provenance and the simulated frame time of the modeled cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetFrame {
-    pub image: mgpu_volren::Image,
+    pub image: Image,
     /// Served from the server's frame cache (no render ran for this
     /// request).
     pub from_cache: bool,
@@ -1217,21 +1037,14 @@ pub struct NetFrame {
     pub sim_frame: Duration,
 }
 
-/// `FRAME`: flags + sim time + dimensions + raw RGBA rows.
-pub fn encode_frame(image: &mgpu_volren::Image, from_cache: bool, sim_nanos: u64) -> Vec<u8> {
+/// The `FRAME` payload: flags + sim time + dimensions + raw RGBA rows.
+pub fn encode_frame(image: &Image, from_cache: bool, sim_nanos: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    w.bool(from_cache);
-    w.u64(sim_nanos);
-    w.u32(image.width());
-    w.u32(image.height());
-    for px in image.pixels() {
-        for c in px {
-            w.f32(*c);
-        }
-    }
+    put_frame(&mut w, image, from_cache, sim_nanos);
     w.into_bytes()
 }
 
+/// Decode a `FRAME` payload; consumes the whole payload.
 pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
     let mut r = Reader::new(payload);
     let from_cache = r.bool()?;
@@ -1242,13 +1055,13 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
         WireError::Malformed(format!("image dimensions {width}x{height} overflow"))
     })?;
     // Pixel data is implied by the dimensions; verify before allocating.
-    let have = payload.len().saturating_sub(1 + 8 + 4 + 4);
+    let have = r.remaining();
     let needed = count
         .checked_mul(16)
         .filter(|n| *n <= usize::MAX as u64)
         .ok_or_else(|| WireError::Malformed(format!("{count} pixels overflow")))?
         as usize;
-    if needed != have {
+    if needed > have {
         return Err(WireError::Malformed(format!(
             "{width}x{height} frame needs {needed} pixel bytes, payload has {have}"
         )));
@@ -1259,48 +1072,28 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
     }
     r.finish()?;
     Ok(NetFrame {
-        image: mgpu_volren::Image::from_pixels(width, height, pixels),
+        image: Image::from_pixels(width, height, pixels),
         from_cache,
         sim_frame: Duration::from_nanos(sim_nanos),
     })
 }
 
-pub fn encode_message(message: &str) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.str(message);
-    w.into_bytes()
+fn put_frame(w: &mut Writer, image: &Image, from_cache: bool, sim_nanos: u64) {
+    w.bool(from_cache);
+    w.u64(sim_nanos);
+    w.u32(image.width());
+    w.u32(image.height());
+    for px in image.pixels() {
+        for c in px {
+            w.f32(*c);
+        }
+    }
 }
 
-pub fn decode_message(payload: &[u8]) -> Result<String, WireError> {
-    let mut r = Reader::new(payload);
-    let message = r.str()?;
-    r.finish()?;
-    Ok(message)
-}
-
-// ---------------------------------------------------------------------------
-// Trace payloads (`TRACES` / `TRACES_REPLY`)
-// ---------------------------------------------------------------------------
-
-/// `TRACES`: ask for the server's newest `max` completed request traces.
-pub fn encode_traces_request(max: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(max);
-    w.into_bytes()
-}
-
-pub fn decode_traces_request(payload: &[u8]) -> Result<u32, WireError> {
-    let mut r = Reader::new(payload);
-    let max = r.u32()?;
-    r.finish()?;
-    Ok(max)
-}
-
-/// `TRACES_REPLY`: the completed traces, newest first. Each trace is its
+/// The completed traces of `TRACES_REPLY`, newest first. Each trace is its
 /// wire `request_id`-seeded trace id plus the named stage spans as
 /// nanosecond offsets from the trace's start.
-pub fn encode_traces(traces: &[mgpu_obs::CompletedTrace]) -> Vec<u8> {
-    let mut w = Writer::new();
+fn put_traces(w: &mut Writer, traces: &[CompletedTrace]) {
     w.u32(traces.len() as u32);
     for trace in traces {
         w.u64(trace.id);
@@ -1311,11 +1104,9 @@ pub fn encode_traces(traces: &[mgpu_obs::CompletedTrace]) -> Vec<u8> {
             w.u64(span.end_ns);
         }
     }
-    w.into_bytes()
 }
 
-pub fn decode_traces(payload: &[u8]) -> Result<Vec<mgpu_obs::CompletedTrace>, WireError> {
-    let mut r = Reader::new(payload);
+fn get_traces(r: &mut Reader) -> Result<Vec<CompletedTrace>, WireError> {
     // A trace is at least an id and a span count; a span at least a name
     // length and two offsets.
     let count = r.count(8 + 4)?;
@@ -1333,21 +1124,261 @@ pub fn decode_traces(payload: &[u8]) -> Result<Vec<mgpu_obs::CompletedTrace>, Wi
                     "span {name:?} ends ({end_ns}) before it starts ({start_ns})"
                 )));
             }
-            spans.push(mgpu_obs::SpanRecord {
+            spans.push(SpanRecord {
                 name,
                 start_ns,
                 end_ns,
             });
         }
-        traces.push(mgpu_obs::CompletedTrace { id, spans });
+        traces.push(CompletedTrace { id, spans });
     }
-    r.finish()?;
     Ok(traces)
+}
+
+// ---------------------------------------------------------------------------
+// Messages: the one place an opcode is paired with its payload
+// ---------------------------------------------------------------------------
+
+/// A draining server's answer to `DRAIN`/`RESUME`: its current mode, how
+/// much it still owes, and the newest directory epoch it has been told —
+/// what a drain controller polls until `outstanding` reaches zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainState {
+    /// New `RENDER`/`SUBMIT` are being refused with `DRAINING`.
+    pub draining: bool,
+    /// In-flight renders + un-redeemed tickets + parked redeems, across
+    /// every session on the server. Zero while draining means the server
+    /// is about to say `GOODBYE`.
+    pub outstanding: u64,
+    /// Highest directory epoch any controller has announced to this
+    /// server (echoed in STATS too): a client whose directory is older is
+    /// stale.
+    pub epoch: u64,
+}
+
+/// Every request a client can send: one variant per request opcode (see
+/// [`opcode`] for what each asks). `Prewarm(epoch, request)` announces the
+/// controller's epoch with the request whose plan to build. The render
+/// requests borrow their [`NetSceneRequest`] when encoding (no copy of
+/// shipped voxels) and own it once decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request<'a> {
+    Ping { token: u64 },
+    Render(Cow<'a, NetSceneRequest>),
+    Submit(Cow<'a, NetSceneRequest>),
+    Redeem { ticket: u64 },
+    Stats,
+    Traces { max: u32 },
+    Drain { epoch: u64 },
+    Resume { epoch: u64 },
+    Prewarm(u64, Cow<'a, NetSceneRequest>),
+}
+
+impl Request<'_> {
+    pub fn opcode(&self) -> u8 {
+        match self {
+            Request::Ping { .. } => opcode::PING,
+            Request::Render(_) => opcode::RENDER,
+            Request::Submit(_) => opcode::SUBMIT,
+            Request::Redeem { .. } => opcode::REDEEM,
+            Request::Stats => opcode::STATS,
+            Request::Traces { .. } => opcode::TRACES,
+            Request::Drain { .. } => opcode::DRAIN,
+            Request::Resume { .. } => opcode::RESUME,
+            Request::Prewarm(..) => opcode::PREWARM,
+        }
+    }
+
+    /// The whole frame (prelude + payload) for `request_id`.
+    pub fn encode(&self, request_id: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            Request::Ping { token } => w.u64(*token),
+            Request::Render(request) | Request::Submit(request) => put_request(&mut w, request),
+            Request::Redeem { ticket } => w.u64(*ticket),
+            Request::Stats => {}
+            Request::Traces { max } => w.u32(*max),
+            Request::Drain { epoch } | Request::Resume { epoch } => w.u64(*epoch),
+            Request::Prewarm(epoch, request) => {
+                w.u64(*epoch);
+                put_request(&mut w, request);
+            }
+        }
+        frame_bytes(self.opcode(), request_id, &w.into_bytes())
+    }
+
+    /// Decode the payload of a request frame with opcode `op`; consumes
+    /// the whole payload. A reply or unassigned opcode is
+    /// [`WireError::UnknownOpcode`].
+    pub fn decode(op: u8, payload: &[u8]) -> Result<Request<'static>, WireError> {
+        let mut r = Reader::new(payload);
+        let request = match op {
+            opcode::PING => Request::Ping { token: r.u64()? },
+            opcode::RENDER => Request::Render(Cow::Owned(get_request(&mut r)?)),
+            opcode::SUBMIT => Request::Submit(Cow::Owned(get_request(&mut r)?)),
+            opcode::REDEEM => Request::Redeem { ticket: r.u64()? },
+            opcode::STATS => Request::Stats,
+            opcode::TRACES => Request::Traces { max: r.u32()? },
+            opcode::DRAIN => Request::Drain { epoch: r.u64()? },
+            opcode::RESUME => Request::Resume { epoch: r.u64()? },
+            opcode::PREWARM => Request::Prewarm(r.u64()?, Cow::Owned(get_request(&mut r)?)),
+            other => return Err(WireError::UnknownOpcode(other)),
+        };
+        r.finish()?;
+        Ok(request)
+    }
+}
+
+/// Every reply a server can send: one variant per reply opcode (see
+/// [`opcode`] for when each is sent). `Frame(image, from_cache, sim_frame)`
+/// is a [`NetFrame`] whose image the server borrows when encoding (no pixel
+/// copy) and the client owns once decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply<'a> {
+    Pong { token: u64, shards: u32 },
+    Frame(Cow<'a, Image>, bool, Duration),
+    Submitted { ticket: u64 },
+    Rejected(AdmissionError),
+    Throttled { retry_after: Duration },
+    Failed(FrameError),
+    StatsReport(Box<NetStats>),
+    TicketsFull { outstanding: u64, limit: u64 },
+    UnsupportedVersion { got: u16, want: u16 },
+    Traces(Vec<CompletedTrace>),
+    DrainState(DrainState),
+    Prewarmed { shard: u32, built: bool },
+    Goodbye,
+    Draining { epoch: u64 },
+    BadRequest { message: String },
+}
+
+impl Reply<'_> {
+    pub fn opcode(&self) -> u8 {
+        match self {
+            Reply::Pong { .. } => opcode::PONG,
+            Reply::Frame(..) => opcode::FRAME,
+            Reply::Submitted { .. } => opcode::SUBMITTED,
+            Reply::Rejected(_) => opcode::REJECTED,
+            Reply::Throttled { .. } => opcode::THROTTLED,
+            Reply::Failed(_) => opcode::FAILED,
+            Reply::StatsReport(_) => opcode::STATS_REPORT,
+            Reply::TicketsFull { .. } => opcode::TICKETS_FULL,
+            Reply::UnsupportedVersion { .. } => opcode::UNSUPPORTED_VERSION,
+            Reply::Traces(_) => opcode::TRACES_REPLY,
+            Reply::DrainState(_) => opcode::DRAIN_STATE,
+            Reply::Prewarmed { .. } => opcode::PREWARMED,
+            Reply::Goodbye => opcode::GOODBYE,
+            Reply::Draining { .. } => opcode::DRAINING,
+            Reply::BadRequest { .. } => opcode::BAD_REQUEST,
+        }
+    }
+
+    /// The whole frame (prelude + payload) for `request_id` (0 for the
+    /// server's unsolicited frames).
+    pub fn encode(&self, request_id: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            Reply::Pong { token, shards } => {
+                w.u64(*token);
+                w.u32(*shards);
+            }
+            Reply::Frame(image, from_cache, sim_frame) => {
+                put_frame(&mut w, image, *from_cache, nanos(*sim_frame))
+            }
+            Reply::Submitted { ticket } => w.u64(*ticket),
+            Reply::Rejected(err) => {
+                put_priority(&mut w, err.priority);
+                w.u64(err.queued as u64);
+                w.u64(err.limit as u64);
+            }
+            Reply::Throttled { retry_after } => w.u64(nanos(*retry_after)),
+            Reply::Failed(err) => w.str(err.message()),
+            Reply::StatsReport(stats) => put_stats(&mut w, stats),
+            Reply::TicketsFull { outstanding, limit } => {
+                w.u64(*outstanding);
+                w.u64(*limit);
+            }
+            Reply::UnsupportedVersion { got, want } => {
+                w.u16(*got);
+                w.u16(*want);
+            }
+            Reply::Traces(traces) => put_traces(&mut w, traces),
+            Reply::DrainState(state) => {
+                w.bool(state.draining);
+                w.u64(state.outstanding);
+                w.u64(state.epoch);
+            }
+            Reply::Prewarmed { shard, built } => {
+                w.u32(*shard);
+                w.bool(*built);
+            }
+            Reply::Goodbye => {}
+            Reply::Draining { epoch } => w.u64(*epoch),
+            Reply::BadRequest { message } => w.str(message),
+        }
+        frame_bytes(self.opcode(), request_id, &w.into_bytes())
+    }
+
+    /// Decode the payload of a reply frame with opcode `op`; consumes the
+    /// whole payload. A request or unassigned opcode is
+    /// [`WireError::UnknownOpcode`].
+    pub fn decode(op: u8, payload: &[u8]) -> Result<Reply<'static>, WireError> {
+        let mut r = Reader::new(payload);
+        let reply = match op {
+            opcode::PONG => Reply::Pong {
+                token: r.u64()?,
+                shards: r.u32()?,
+            },
+            opcode::FRAME => {
+                // The pixel loop runs over a reader of its own: measurably
+                // faster than through `&mut r`.
+                let frame = decode_frame(payload)?;
+                let image = Cow::Owned(frame.image);
+                return Ok(Reply::Frame(image, frame.from_cache, frame.sim_frame));
+            }
+            opcode::SUBMITTED => Reply::Submitted { ticket: r.u64()? },
+            opcode::REJECTED => Reply::Rejected(AdmissionError {
+                priority: get_priority(&mut r)?,
+                queued: r.u64()? as usize,
+                limit: r.u64()? as usize,
+            }),
+            opcode::THROTTLED => Reply::Throttled {
+                retry_after: Duration::from_nanos(r.u64()?),
+            },
+            opcode::FAILED => Reply::Failed(FrameError::new(r.str()?)),
+            opcode::STATS_REPORT => Reply::StatsReport(Box::new(get_stats(&mut r)?)),
+            opcode::TICKETS_FULL => Reply::TicketsFull {
+                outstanding: r.u64()?,
+                limit: r.u64()?,
+            },
+            opcode::UNSUPPORTED_VERSION => Reply::UnsupportedVersion {
+                got: r.u16()?,
+                want: r.u16()?,
+            },
+            opcode::TRACES_REPLY => Reply::Traces(get_traces(&mut r)?),
+            opcode::DRAIN_STATE => Reply::DrainState(DrainState {
+                draining: r.bool()?,
+                outstanding: r.u64()?,
+                epoch: r.u64()?,
+            }),
+            opcode::PREWARMED => Reply::Prewarmed {
+                shard: r.u32()?,
+                built: r.bool()?,
+            },
+            opcode::GOODBYE => Reply::Goodbye,
+            opcode::DRAINING => Reply::Draining { epoch: r.u64()? },
+            opcode::BAD_REQUEST => Reply::BadRequest { message: r.str()? },
+            other => return Err(WireError::UnknownOpcode(other)),
+        };
+        r.finish()?;
+        Ok(reply)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     fn roundtrip_request(req: &NetSceneRequest) -> NetSceneRequest {
         decode_request(&encode_request(req)).expect("round-trip")
@@ -1356,6 +1387,294 @@ mod tests {
     fn sample_request() -> NetSceneRequest {
         NetSceneRequest::orbit_dataset(Dataset::Skull, 16, 2, 33.0, 20.0, &TransferFunction::bone())
             .with_config(RenderConfig::test_size(24))
+    }
+
+    /// The request id every golden frame carries.
+    const GOLDEN_ID: u64 = 0x0102_0304_0506_0708;
+
+    fn sample_image() -> Image {
+        let mut image = Image::new(2, 1);
+        image.set_linear(0, [0.1, 0.5, 0.999, 1.0]);
+        image.set_linear(1, [0.0, 0.25, 1.0, 0.5]);
+        image
+    }
+
+    fn sample_stats() -> NetStats {
+        let mut obs = mgpu_obs::Snapshot::new();
+        obs.add_counter(mgpu_obs::names::NET_FRAMES_IN, 24);
+        obs.add_gauge(mgpu_obs::names::NET_CONNECTIONS, -1);
+        let mut shard = mgpu_obs::Snapshot::new();
+        shard.add_counter(mgpu_obs::names::SERVE_FRAMES_COMPLETED, 3);
+        let report = mgpu_serve::ServiceReport::from_snapshot(shard, Duration::from_millis(1500));
+        NetStats::new(7, obs, vec![report])
+    }
+
+    fn sample_traces() -> Vec<CompletedTrace> {
+        let span = |name: &str, start_ns, end_ns| SpanRecord {
+            name: name.into(),
+            start_ns,
+            end_ns,
+        };
+        vec![
+            CompletedTrace {
+                id: 7,
+                spans: vec![span("queue", 10, 20), span("render", 20, 90)],
+            },
+            CompletedTrace {
+                id: u64::MAX,
+                spans: vec![],
+            },
+        ]
+    }
+
+    /// Every request variant (some twice, to cover edge values), each with
+    /// its frame for [`GOLDEN_ID`] as the per-payload encoders of wire v5
+    /// wrote it before the enums replaced them.
+    fn request_table() -> Vec<(Request<'static>, &'static str)> {
+        let request = || Cow::Owned(sample_request());
+        vec![
+            (Request::Ping { token: 0x6D67_7075 }, "4d4750550500010800000008070605040302017570676d00000000"),
+            (Request::Render(request()), "4d4750550500027c000000080706050403020102000000040000000005000000736b756c6c1000000000000004420000a0410004000000626f6e650000000000000000000000000000000018000000180000000000803f48e17a3f02000000000000010000000000000000800000000000400000000000000000000000000000000000000000000000000000000001"),
+            (Request::Submit(request()), "4d4750550500037c000000080706050403020102000000040000000005000000736b756c6c1000000000000004420000a0410004000000626f6e650000000000000000000000000000000018000000180000000000803f48e17a3f02000000000000010000000000000000800000000000400000000000000000000000000000000000000000000000000000000001"),
+            (Request::Redeem { ticket: 9 }, "4d4750550500040800000008070605040302010900000000000000"),
+            (Request::Stats, "4d475055050005000000000807060504030201"),
+            (Request::Traces { max: 32 }, "4d47505505000604000000080706050403020120000000"),
+            (Request::Drain { epoch: 41 }, "4d4750550500070800000008070605040302012900000000000000"),
+            (Request::Drain { epoch: 0 }, "4d4750550500070800000008070605040302010000000000000000"),
+            (Request::Resume { epoch: u64::MAX }, "4d475055050008080000000807060504030201ffffffffffffffff"),
+            (
+                Request::Prewarm(17, request()),
+                "4d475055050009840000000807060504030201110000000000000002000000040000000005000000736b756c6c1000000000000004420000a0410004000000626f6e650000000000000000000000000000000018000000180000000000803f48e17a3f02000000000000010000000000000000800000000000400000000000000000000000000000000000000000000000000000000001",
+            ),
+        ]
+    }
+
+    /// Every reply variant, like [`request_table`].
+    fn reply_table() -> Vec<(Reply<'static>, &'static str)> {
+        let frame = |from_cache, sim_nanos| {
+            Reply::Frame(
+                Cow::Owned(sample_image()),
+                from_cache,
+                Duration::from_nanos(sim_nanos),
+            )
+        };
+        vec![
+            (
+                Reply::Pong {
+                    token: 0x6D67_7075,
+                    shards: 2,
+                },
+                "4d4750550500810c00000008070605040302017570676d0000000002000000",
+            ),
+            (frame(true, 123_456), "4d4750550500823100000008070605040302010140e20100000000000200000001000000cdcccc3d0000003f77be7f3f0000803f000000000000803e0000803f0000003f"),
+            (frame(false, 0), "4d4750550500823100000008070605040302010000000000000000000200000001000000cdcccc3d0000003f77be7f3f0000803f000000000000803e0000803f0000003f"),
+            (Reply::Submitted { ticket: 9 }, "4d4750550500830800000008070605040302010900000000000000"),
+            (
+                Reply::Rejected(AdmissionError {
+                    priority: Priority::Batch,
+                    queued: 9,
+                    limit: 8,
+                }),
+                "4d4750550500841100000008070605040302010009000000000000000800000000000000",
+            ),
+            // usize::MAX (the unbounded sentinel) survives the u64 crossing
+            // on 64-bit hosts.
+            (
+                Reply::Rejected(AdmissionError {
+                    priority: Priority::Interactive,
+                    queued: 3,
+                    limit: usize::MAX,
+                }),
+                "4d475055050084110000000807060504030201020300000000000000ffffffffffffffff",
+            ),
+            (
+                Reply::Throttled {
+                    retry_after: Duration::from_millis(125),
+                },
+                "4d4750550500850800000008070605040302014059730700000000",
+            ),
+            (
+                Reply::Failed(FrameError::new("render panicked: poison")),
+                "4d4750550500861b00000008070605040302011700000072656e6465722070616e69636b65643a20706f69736f6e",
+            ),
+            (Reply::StatsReport(Box::new(sample_stats())), "4d4750550500878200000008070605040302010700000000000000010000000d0000006e65742e6672616d65735f696e1800000000000000010000000f0000006e65742e636f6e6e656374696f6e73ffffffffffffffff0000000001000000002f685900000000010000001600000073657276652e6672616d65735f636f6d706c6574656403000000000000000000000000000000"),
+            (
+                Reply::TicketsFull {
+                    outstanding: 2,
+                    limit: 2,
+                },
+                "4d47505505008810000000080706050403020102000000000000000200000000000000",
+            ),
+            (
+                Reply::UnsupportedVersion {
+                    got: 2,
+                    want: VERSION,
+                },
+                "4d47505505008904000000080706050403020102000500",
+            ),
+            (
+                Reply::UnsupportedVersion {
+                    got: 0xEEEE,
+                    want: VERSION,
+                },
+                "4d475055050089040000000807060504030201eeee0500",
+            ),
+            (Reply::Traces(sample_traces()), "4d47505505008a4f0000000807060504030201020000000700000000000000020000000500000071756575650a0000000000000014000000000000000600000072656e64657214000000000000005a00000000000000ffffffffffffffff00000000"),
+            (
+                Reply::DrainState(DrainState {
+                    draining: true,
+                    outstanding: 9,
+                    epoch: 41,
+                }),
+                "4d47505505008b1100000008070605040302010109000000000000002900000000000000",
+            ),
+            (
+                Reply::DrainState(DrainState {
+                    draining: false,
+                    outstanding: 0,
+                    epoch: u64::MAX,
+                }),
+                "4d47505505008b110000000807060504030201000000000000000000ffffffffffffffff",
+            ),
+            (
+                Reply::Prewarmed {
+                    shard: 3,
+                    built: true,
+                },
+                "4d47505505008c0500000008070605040302010300000001",
+            ),
+            (
+                Reply::Prewarmed {
+                    shard: 0,
+                    built: false,
+                },
+                "4d47505505008c0500000008070605040302010000000000",
+            ),
+            (Reply::Goodbye, "4d47505505008d000000000807060504030201"),
+            (Reply::Draining { epoch: 41 }, "4d47505505008e0800000008070605040302012900000000000000"),
+            (
+                Reply::BadRequest {
+                    message: "duplicate request id 9".into(),
+                },
+                "4d4750550500ff1a0000000807060504030201160000006475706c696361746520726571756573742069642039",
+            ),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The four checks every message variant gets: its frame matches the
+    /// golden bytes, the payload decodes back to the sample, every
+    /// truncation of the payload is a typed error, and one appended byte is
+    /// `TrailingBytes`.
+    fn check_message<M: PartialEq + Debug>(
+        sample: &M,
+        frame: Vec<u8>,
+        golden: &str,
+        decode: fn(u8, &[u8]) -> Result<M, WireError>,
+    ) {
+        assert_eq!(hex(&frame), golden, "{sample:?}: wire bytes changed");
+        let (op, id, mut payload) =
+            read_frame(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD).expect("frame");
+        assert_eq!(id, GOLDEN_ID);
+        assert_eq!(decode(op, &payload).as_ref(), Ok(sample));
+        for cut in 0..payload.len() {
+            match decode(op, &payload[..cut]) {
+                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
+                other => panic!("{sample:?} cut to {cut} bytes: {other:?}"),
+            }
+        }
+        payload.push(0xAB);
+        assert_eq!(
+            decode(op, &payload),
+            Err(WireError::TrailingBytes { extra: 1 }),
+            "{sample:?} with one byte appended"
+        );
+    }
+
+    #[test]
+    fn every_message_variant_keeps_its_bytes_and_decodes_strictly() {
+        let requests = request_table();
+        let replies = reply_table();
+        for (sample, golden) in &requests {
+            check_message(sample, sample.encode(GOLDEN_ID), golden, Request::decode);
+        }
+        for (sample, golden) in &replies {
+            check_message(sample, sample.encode(GOLDEN_ID), golden, Reply::decode);
+        }
+        // The tables cover every opcode: nine requests, fifteen replies.
+        let ops: std::collections::BTreeSet<u8> = requests
+            .iter()
+            .map(|(m, _)| m.opcode())
+            .chain(replies.iter().map(|(m, _)| m.opcode()))
+            .collect();
+        let mut want: std::collections::BTreeSet<u8> = (0x01..=0x09).chain(0x81..=0x8E).collect();
+        want.insert(opcode::BAD_REQUEST);
+        assert_eq!(ops, want);
+    }
+
+    #[test]
+    fn opcodes_of_the_other_direction_are_unknown() {
+        assert_eq!(
+            Request::decode(opcode::PONG, &[]),
+            Err(WireError::UnknownOpcode(opcode::PONG))
+        );
+        assert_eq!(
+            Reply::decode(opcode::PING, &[]),
+            Err(WireError::UnknownOpcode(opcode::PING))
+        );
+        assert_eq!(
+            Request::decode(0x7F, &[]),
+            Err(WireError::UnknownOpcode(0x7F))
+        );
+    }
+
+    #[test]
+    fn header_validation() {
+        let ping = Request::Ping { token: 7 };
+        let mut buf = Vec::new();
+        write_frame(&mut buf, opcode::PING, 42, &7u64.to_le_bytes()).unwrap();
+        assert_eq!(buf, ping.encode(42));
+        let (op, id, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(op, opcode::PING);
+        assert_eq!(id, 42);
+        assert_eq!(Request::decode(op, &payload), Ok(ping));
+
+        let mut bad = buf.clone();
+        bad[0] ^= 0xFF;
+        match read_frame(&mut bad.as_slice(), DEFAULT_MAX_PAYLOAD) {
+            Err(WireError::BadMagic(_)) => {}
+            other => panic!("{other:?}"),
+        }
+
+        let mut bad = buf.clone();
+        bad[4] = 0xEE; // version
+        match read_frame(&mut bad.as_slice(), DEFAULT_MAX_PAYLOAD) {
+            Err(WireError::UnsupportedVersion { want: VERSION, .. }) => {}
+            other => panic!("{other:?}"),
+        }
+
+        // Declared length beyond the bound.
+        let mut bad = buf.clone();
+        bad[7..11].copy_from_slice(&u32::MAX.to_le_bytes());
+        match read_frame(&mut bad.as_slice(), 1024) {
+            Err(WireError::TooLarge { max: 1024, .. }) => {}
+            other => panic!("{other:?}"),
+        }
+
+        // Empty stream = clean close; torn header = closed too.
+        match read_frame(&mut (&[] as &[u8]), 1024) {
+            Err(WireError::ConnectionClosed) => {}
+            other => panic!("{other:?}"),
+        }
+
+        // A frame torn inside the request id is a close, not a panic.
+        match read_frame(&mut (&buf[..HEADER_BYTES + 3]), 1024) {
+            Err(WireError::ConnectionClosed) => {}
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1450,53 +1769,6 @@ mod tests {
     }
 
     #[test]
-    fn header_validation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::PING, 42, &encode_ping(7)).unwrap();
-        assert_eq!(buf, frame_bytes(opcode::PING, 42, &encode_ping(7)));
-        let (op, id, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(op, opcode::PING);
-        assert_eq!(id, 42);
-        assert_eq!(decode_ping(&payload), Ok(7));
-
-        let mut bad = buf.clone();
-        bad[0] ^= 0xFF;
-        match read_frame(&mut bad.as_slice(), DEFAULT_MAX_PAYLOAD) {
-            Err(WireError::BadMagic(_)) => {}
-            other => panic!("{other:?}"),
-        }
-
-        let mut bad = buf.clone();
-        bad[4] = 0xEE; // version
-        match read_frame(&mut bad.as_slice(), DEFAULT_MAX_PAYLOAD) {
-            Err(WireError::UnsupportedVersion { want: VERSION, .. }) => {}
-            other => panic!("{other:?}"),
-        }
-
-        // Declared length beyond the bound.
-        let mut bad = buf.clone();
-        bad[7..11].copy_from_slice(&u32::MAX.to_le_bytes());
-        match read_frame(&mut bad.as_slice(), 1024) {
-            Err(WireError::TooLarge { max: 1024, .. }) => {}
-            other => panic!("{other:?}"),
-        }
-
-        // Empty stream = clean close; torn header = closed too.
-        match read_frame(&mut (&[] as &[u8]), 1024) {
-            Err(WireError::ConnectionClosed) => {}
-            other => panic!("{other:?}"),
-        }
-
-        // A frame torn inside the request id is a close, not a panic.
-        match read_frame(&mut (&buf[..HEADER_BYTES + 3]), 1024) {
-            Err(WireError::ConnectionClosed) => {}
-            other => panic!("{other:?}"),
-        }
-    }
-
-    /// Every request id value round-trips verbatim through the prelude —
-    /// including the reserved 0 and the all-ones pattern.
-    #[test]
     fn request_id_roundtrips_verbatim() {
         for id in [0u64, 1, 8, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
             let buf = frame_bytes(opcode::SUBMIT, id, b"xyz");
@@ -1505,131 +1777,6 @@ mod tests {
                 (op, got, payload.as_slice()),
                 (opcode::SUBMIT, id, &b"xyz"[..])
             );
-        }
-    }
-
-    #[test]
-    fn unsupported_version_payload_roundtrips() {
-        assert_eq!(
-            decode_unsupported_version(&encode_unsupported_version(2, VERSION)),
-            Ok((2, VERSION))
-        );
-        assert_eq!(
-            decode_unsupported_version(&encode_unsupported_version(0xEEEE, VERSION)),
-            Ok((0xEEEE, VERSION))
-        );
-        // Truncated and oversized payloads are typed errors.
-        assert!(matches!(
-            decode_unsupported_version(&[1]),
-            Err(WireError::Truncated { .. })
-        ));
-        assert!(matches!(
-            decode_unsupported_version(&[0, 0, 0, 0, 9]),
-            Err(WireError::TrailingBytes { extra: 1 })
-        ));
-    }
-
-    #[test]
-    fn error_payloads_roundtrip() {
-        let admission = AdmissionError {
-            priority: Priority::Batch,
-            queued: 9,
-            limit: 8,
-        };
-        assert_eq!(decode_rejected(&encode_rejected(&admission)), Ok(admission));
-        assert_eq!(
-            decode_throttled(&encode_throttled(Duration::from_millis(125))),
-            Ok(Duration::from_millis(125))
-        );
-        assert_eq!(
-            decode_message(&encode_message("render panicked: poison")),
-            Ok("render panicked: poison".to_string())
-        );
-        // usize::MAX (the unbounded sentinel) survives the u64 crossing on
-        // 64-bit hosts.
-        let unbounded = AdmissionError {
-            priority: Priority::Interactive,
-            queued: 3,
-            limit: usize::MAX,
-        };
-        assert_eq!(decode_rejected(&encode_rejected(&unbounded)), Ok(unbounded));
-    }
-
-    #[test]
-    fn drain_control_payloads_roundtrip() {
-        for epoch in [0u64, 1, 7, u64::MAX] {
-            assert_eq!(decode_epoch(&encode_epoch(epoch)), Ok(epoch));
-        }
-        let state = DrainState {
-            draining: true,
-            outstanding: 9,
-            epoch: 41,
-        };
-        assert_eq!(decode_drain_state(&encode_drain_state(state)), Ok(state));
-        let idle = DrainState {
-            draining: false,
-            outstanding: 0,
-            epoch: u64::MAX,
-        };
-        assert_eq!(decode_drain_state(&encode_drain_state(idle)), Ok(idle));
-        assert_eq!(decode_prewarmed(&encode_prewarmed(3, true)), Ok((3, true)));
-        assert_eq!(
-            decode_prewarmed(&encode_prewarmed(0, false)),
-            Ok((0, false))
-        );
-    }
-
-    #[test]
-    fn prewarm_carries_the_epoch_and_the_full_request() {
-        let req = sample_request();
-        let bytes = encode_prewarm(17, &req);
-        let (epoch, back) = decode_prewarm(&bytes).expect("round-trip");
-        assert_eq!(epoch, 17);
-        assert_eq!(back, req);
-        // Every truncation of the combined payload is a typed error — both
-        // inside the epoch prefix and inside the embedded request.
-        for cut in 0..bytes.len() {
-            match decode_prewarm(&bytes[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
-                Ok(_) => panic!("prefix of {cut} bytes decoded successfully"),
-                Err(other) => panic!("prefix of {cut} bytes: unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn drain_control_truncations_are_typed_errors() {
-        let payloads = [
-            encode_epoch(99),
-            encode_drain_state(DrainState {
-                draining: true,
-                outstanding: 2,
-                epoch: 5,
-            }),
-            encode_prewarmed(1, true),
-        ];
-        for bytes in &payloads {
-            for cut in 0..bytes.len() {
-                let slice = &bytes[..cut];
-                let results = [
-                    decode_epoch(slice).map(|_| ()),
-                    decode_drain_state(slice).map(|_| ()),
-                    decode_prewarmed(slice).map(|_| ()),
-                ];
-                for r in results {
-                    if let Err(e) = r {
-                        assert!(
-                            matches!(
-                                e,
-                                WireError::Truncated { .. }
-                                    | WireError::Malformed(_)
-                                    | WireError::TrailingBytes { .. }
-                            ),
-                            "unexpected {e:?}"
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -1650,7 +1797,6 @@ mod tests {
         assert!(matches!(decode_frame(&bytes), Err(WireError::Malformed(_))));
     }
 
-    /// The v2 camera arm: a raw look-at camera crosses the wire bit-exactly.
     #[test]
     fn look_camera_roundtrips_bit_exact() {
         let mut req = sample_request();
@@ -1677,9 +1823,6 @@ mod tests {
         assert_eq!(t1.to_bits(), t2.to_bits());
     }
 
-    /// `from_request` is the portable description of an in-process request:
-    /// named datasets travel by name, anything small ships voxels, and the
-    /// reconstructed parts match the originals field for field.
     #[test]
     fn from_request_describes_in_process_requests() {
         use mgpu_serve::{Priority, SceneRequest};
@@ -1735,49 +1878,6 @@ mod tests {
     }
 
     #[test]
-    fn traces_roundtrip_and_truncations_are_typed() {
-        let traces = vec![
-            mgpu_obs::CompletedTrace {
-                id: 7,
-                spans: vec![
-                    mgpu_obs::SpanRecord {
-                        name: "queue".into(),
-                        start_ns: 10,
-                        end_ns: 20,
-                    },
-                    mgpu_obs::SpanRecord {
-                        name: "render".into(),
-                        start_ns: 20,
-                        end_ns: 90,
-                    },
-                ],
-            },
-            mgpu_obs::CompletedTrace {
-                id: u64::MAX,
-                spans: vec![],
-            },
-        ];
-        let bytes = encode_traces(&traces);
-        assert_eq!(decode_traces(&bytes).unwrap(), traces);
-        assert_eq!(decode_traces_request(&encode_traces_request(32)), Ok(32));
-        for cut in 0..bytes.len() {
-            match decode_traces(&bytes[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
-                Ok(_) => panic!("prefix of {cut} bytes decoded successfully"),
-                Err(other) => panic!("prefix of {cut} bytes: unexpected {other:?}"),
-            }
-        }
-        // A span that ends before it starts is malformed, not accepted.
-        let mut backwards = traces.clone();
-        backwards[0].spans[0].start_ns = 50;
-        backwards[0].spans[0].end_ns = 40;
-        assert!(matches!(
-            decode_traces(&encode_traces(&backwards)),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn bad_volume_specs_are_malformed() {
         let mismatched = VolumeSpec::InMemory {
             name: "broken".into(),
@@ -1793,5 +1893,18 @@ mod tests {
             base: 0,
         };
         assert!(matches!(zero.to_volume(), Err(WireError::Malformed(_))));
+    }
+
+    /// A span that ends before it starts is malformed, not accepted.
+    #[test]
+    fn backwards_trace_spans_are_malformed() {
+        let mut backwards = sample_traces();
+        backwards[0].spans[0].start_ns = 50;
+        backwards[0].spans[0].end_ns = 40;
+        let frame = Reply::Traces(backwards).encode(1);
+        assert!(matches!(
+            Reply::decode(opcode::TRACES_REPLY, &frame[PRELUDE_BYTES..]),
+            Err(WireError::Malformed(_))
+        ));
     }
 }

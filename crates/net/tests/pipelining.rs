@@ -2,11 +2,12 @@
 //! redeemed out of order — plus the protocol-level guard rails that make
 //! that safe (duplicate request-id rejection, id echo on every reply).
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use mgpu_net::wire::{self, opcode, read_frame, write_frame};
+use mgpu_net::wire::{self, read_frame, Reply, Request};
 use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::ServiceConfig;
 use mgpu_voldata::Dataset;
@@ -22,6 +23,12 @@ fn server(shards: usize, workers: usize) -> RenderServer {
         ..ServerConfig::default()
     })
     .expect("bind loopback server")
+}
+
+/// Read one frame off a raw connection and decode it as a reply.
+fn read_reply(stream: &mut TcpStream) -> (u64, Reply<'static>) {
+    let (op, id, payload) = read_frame(stream, wire::DEFAULT_MAX_PAYLOAD).expect("reply frame");
+    (id, Reply::decode(op, &payload).expect("reply decodes"))
 }
 
 fn sized_request(azimuth: f32, size: u32) -> NetSceneRequest {
@@ -142,27 +149,29 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     let server = server(1, 1);
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
 
-    let payload = wire::encode_request(&sized_request(0.0, 8));
-    write_frame(&mut raw, opcode::SUBMIT, 9, &payload).expect("first submit");
-    write_frame(&mut raw, opcode::SUBMIT, 9, &payload).expect("duplicate submit");
+    let submit = Request::Submit(Cow::Owned(sized_request(0.0, 8))).encode(9);
+    raw.write_all(&submit).expect("first submit");
+    raw.write_all(&submit).expect("duplicate submit");
 
     // The first use of id 9 acks normally…
-    let (op, id, ack) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("ack");
-    assert_eq!((op, id), (opcode::SUBMITTED, 9));
-    assert_eq!(wire::decode_ticket(&ack).expect("ticket"), 9);
+    assert_eq!(read_reply(&mut raw), (9, Reply::Submitted { ticket: 9 }));
     // …the duplicate is refused, typed and tagged with the id.
-    let (op, id, echo) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 9));
-    let message = wire::decode_message(&echo).expect("echo decodes");
+    let (id, reply) = read_reply(&mut raw);
+    assert_eq!(id, 9);
+    let Reply::BadRequest { message } = reply else {
+        panic!("expected BAD_REQUEST, got {reply:?}");
+    };
     assert!(
         message.contains("duplicate request id 9"),
         "unexpected echo: {message}"
     );
 
     // The connection still works: redeem the original ticket on it.
-    write_frame(&mut raw, opcode::REDEEM, 10, &wire::encode_ticket(9)).expect("redeem");
-    let (op, id, _frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 10));
+    let redeem = Request::Redeem { ticket: 9 }.encode(10);
+    raw.write_all(&redeem).expect("redeem");
+    let (id, reply) = read_reply(&mut raw);
+    assert_eq!(id, 10);
+    assert!(matches!(reply, Reply::Frame(..)), "{reply:?}");
     raw.flush().unwrap();
 
     server.shutdown();

@@ -4,11 +4,12 @@
 //! `BAD_REQUEST` frame) or is dropped; *other* sessions keep rendering as
 //! if nothing happened.
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mgpu_net::wire::{self, opcode, read_frame, write_frame, HEADER_BYTES, MAGIC};
+use mgpu_net::wire::{self, opcode, read_frame, write_frame, Reply, Request, HEADER_BYTES, MAGIC};
 use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::ServiceConfig;
 use mgpu_voldata::Dataset;
@@ -38,6 +39,12 @@ fn tiny_request(azimuth: f32) -> NetSceneRequest {
     .with_config(RenderConfig::test_size(8))
 }
 
+/// Read one frame off a raw connection and decode it as a reply.
+fn read_reply(stream: &mut TcpStream) -> (u64, Reply<'static>) {
+    let (op, id, payload) = read_frame(stream, wire::DEFAULT_MAX_PAYLOAD).expect("reply frame");
+    (id, Reply::decode(op, &payload).expect("reply decodes"))
+}
+
 /// A healthy render on a separate connection — the "other sessions are
 /// unaffected" probe used after each poisoning.
 fn assert_service_healthy(server: &RenderServer, azimuth: f32) {
@@ -61,10 +68,11 @@ fn garbage_bytes_get_a_typed_error_and_the_connection_closed() {
     poison.flush().unwrap();
     // The server answers with a BAD_REQUEST frame carrying the WireError…
     // tagged with request id 0 (no request could be framed to echo an id).
-    let (op, id, payload) =
-        read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD).expect("typed reply to garbage");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    let message = wire::decode_message(&payload).expect("error echo decodes");
+    let (id, reply) = read_reply(&mut poison);
+    assert_eq!(id, 0);
+    let Reply::BadRequest { message } = reply else {
+        panic!("expected BAD_REQUEST, got {reply:?}");
+    };
     assert!(message.contains("magic"), "unexpected echo: {message}");
     // …then closes the poisoned connection.
     match read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD) {
@@ -186,10 +194,15 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     frame.push(opcode::PING);
     frame.extend_from_slice(&0u32.to_le_bytes());
     old.write_all(&frame).unwrap();
-    let (op, id, payload) = read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD).expect("version reply");
-    assert_eq!((op, id), (opcode::UNSUPPORTED_VERSION, 0));
-    let (got, want) = wire::decode_unsupported_version(&payload).expect("typed payload");
-    assert_eq!((got, want), (999, wire::VERSION));
+    let (id, reply) = read_reply(&mut old);
+    assert_eq!(id, 0);
+    assert_eq!(
+        reply,
+        Reply::UnsupportedVersion {
+            got: 999,
+            want: wire::VERSION
+        }
+    );
     match read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD) {
         Err(wire::WireError::ConnectionClosed) | Err(wire::WireError::Io(_)) => {}
         other => panic!("wrong-version connection should be closed, got {other:?}"),
@@ -199,12 +212,14 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     // (framing is intact) and the next request on it succeeds.
     let mut junk = TcpStream::connect(server.addr()).expect("connect");
     write_frame(&mut junk, opcode::RENDER, 7, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-    let (op, id, _) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("junk echo");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 7), "echoes the request id");
-    write_frame(&mut junk, opcode::PING, 8, &wire::encode_ping(9)).unwrap();
-    let (op, id, payload) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("ping reply");
-    assert_eq!((op, id), (opcode::PONG, 8));
-    assert_eq!(wire::decode_pong(&payload).unwrap().0, 9);
+    let (id, reply) = read_reply(&mut junk);
+    assert_eq!(id, 7, "echoes the request id");
+    assert!(matches!(reply, Reply::BadRequest { .. }), "{reply:?}");
+    junk.write_all(&Request::Ping { token: 9 }.encode(8))
+        .unwrap();
+    let (id, reply) = read_reply(&mut junk);
+    assert_eq!(id, 8);
+    assert!(matches!(reply, Reply::Pong { token: 9, .. }), "{reply:?}");
 
     // An oversized declared length: typed TooLarge echo, then close.
     let mut huge = TcpStream::connect(server.addr()).expect("connect");
@@ -214,9 +229,12 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     frame.push(opcode::RENDER);
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
     huge.write_all(&frame).unwrap();
-    let (op, id, payload) = read_frame(&mut huge, wire::DEFAULT_MAX_PAYLOAD).expect("size echo");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    assert!(wire::decode_message(&payload).unwrap().contains("exceeds"));
+    let (id, reply) = read_reply(&mut huge);
+    assert_eq!(id, 0);
+    let Reply::BadRequest { message } = reply else {
+        panic!("expected BAD_REQUEST, got {reply:?}");
+    };
+    assert!(message.contains("exceeds"), "unexpected echo: {message}");
 
     assert_service_healthy(&server, 50.0);
     server.shutdown();
@@ -246,10 +264,9 @@ fn server_with_one_outstanding_ticket() -> (RenderServer, TcpStream) {
     })
     .expect("bind");
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
-    let payload = wire::encode_request(&tiny_request(0.0));
-    write_frame(&mut raw, opcode::SUBMIT, 1, &payload).expect("submit");
-    let (op, id, _) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("ack");
-    assert_eq!((op, id), (opcode::SUBMITTED, 1));
+    let submit = Request::Submit(Cow::Owned(tiny_request(0.0)));
+    raw.write_all(&submit.encode(1)).expect("submit");
+    assert_eq!(read_reply(&mut raw), (1, Reply::Submitted { ticket: 1 }));
     (server, raw)
 }
 
@@ -261,9 +278,7 @@ fn draining_refusal_precedes_every_other_render_check() {
     // Id 1 is a duplicate and the session is at its bound, yet the typed
     // DRAINING refusal (carrying the epoch) wins.
     write_frame(&mut raw, opcode::RENDER, 1, &truncated_render_payload()).expect("render");
-    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::DRAINING, 1));
-    assert_eq!(wire::decode_epoch(&payload), Ok(5));
+    assert_eq!(read_reply(&mut raw), (1, Reply::Draining { epoch: 5 }));
     control.resume(6).expect("resume");
     server.shutdown();
 }
@@ -272,9 +287,11 @@ fn draining_refusal_precedes_every_other_render_check() {
 fn duplicate_id_precedes_ticket_bound_and_payload_decode() {
     let (server, mut raw) = server_with_one_outstanding_ticket();
     write_frame(&mut raw, opcode::RENDER, 1, &truncated_render_payload()).expect("render");
-    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 1));
-    let message = wire::decode_message(&payload).expect("echo decodes");
+    let (id, reply) = read_reply(&mut raw);
+    assert_eq!(id, 1);
+    let Reply::BadRequest { message } = reply else {
+        panic!("expected BAD_REQUEST, got {reply:?}");
+    };
     assert!(
         message.contains("duplicate request id 1"),
         "unexpected echo: {message}"
@@ -286,8 +303,15 @@ fn duplicate_id_precedes_ticket_bound_and_payload_decode() {
 fn ticket_bound_precedes_payload_decode() {
     let (server, mut raw) = server_with_one_outstanding_ticket();
     write_frame(&mut raw, opcode::RENDER, 2, &truncated_render_payload()).expect("render");
-    let (op, id, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::TICKETS_FULL, 2));
-    assert_eq!(wire::decode_tickets_full(&payload), Ok((1, 1)));
+    assert_eq!(
+        read_reply(&mut raw),
+        (
+            2,
+            Reply::TicketsFull {
+                outstanding: 1,
+                limit: 1
+            }
+        )
+    );
     server.shutdown();
 }

@@ -15,7 +15,7 @@ use mgpu_net::heat::decode_stats;
 use mgpu_net::ratelimit::{RateLimitConfig, TokenBucket};
 use mgpu_net::wire::{
     decode_frame, decode_request, encode_request, frame_bytes, opcode, parse_header, read_frame,
-    NetSceneRequest, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
+    NetSceneRequest, Reply, Request, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
 };
 use mgpu_net::{RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::Priority;
@@ -54,13 +54,20 @@ proptest! {
     /// request, never a panic — and whatever decodes must re-encode to the
     /// exact same bytes (the format is canonical).
     #[test]
-    fn random_bytes_never_panic_the_decoder(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+    fn random_bytes_never_panic_the_decoder(
+        op in 0u8..=255,
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+    ) {
+        // Every other decoder shares the never-panic property: the frame
+        // and stats payloads, and every message payload under an arbitrary
+        // opcode (request, reply or unassigned).
+        let _ = decode_frame(&bytes);
+        let _ = decode_stats(&bytes);
+        let _ = Request::decode(op, &bytes);
+        let _ = Reply::decode(op, &bytes);
         if let Ok(request) = decode_request(&bytes) {
             prop_assert_eq!(encode_request(&request), bytes);
         }
-        // Frame and stats decoders share the never-panic property.
-        let _ = decode_frame(&bytes);
-        let _ = decode_stats(&bytes);
     }
 
     /// Every prefix and every single-byte corruption of a valid encoding
