@@ -3,11 +3,12 @@
 //!
 //! 1. **Clients × connections** over a loopback [`RenderServer`]: each
 //!    *client* is a thread standing for one user; it opens `connections`
-//!    [`RemoteBackend`]s and round-robins its frame requests across them
-//!    (the fan-out a connection pool gives a real front-end). Every request
-//!    is timed individually, so the table reports wall frames/sec next to
-//!    p50/p90 round-trip latency — the loopback protocol overhead on top of
-//!    the render itself. Repeated views per client exercise the frame cache
+//!    one-node [`NodePool`]s (one connection each, dialed on first use)
+//!    and round-robins its frame requests across them (the fan-out a
+//!    connection pool gives a real front-end). Every request is timed
+//!    individually, so the table reports wall frames/sec next to p50/p90
+//!    round-trip latency — the loopback protocol overhead on top of the
+//!    render itself. Repeated views per client exercise the frame cache
 //!    across the wire; distinct (dataset, cluster) pairs give the shard
 //!    router keys to spread.
 //! 2. **Node sweep** — the same many-volume workload through a
@@ -25,11 +26,12 @@
 //! key, one `rebalance_once` tick migrating it (pre-warm before cutover,
 //! epoch bump), with the migration delta recorded in `BENCH_net.json`.
 
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use mgpu_bench::JsonObject;
 use mgpu_cluster::ClusterSpec;
-use mgpu_net::{Directory, NodePool, NodePoolConfig, RemoteBackend, RenderServer, ServerConfig};
+use mgpu_net::{Directory, NodePool, NodePoolConfig, RenderServer, ServerConfig};
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
@@ -71,6 +73,11 @@ fn request_for(dataset: Dataset, volume_size: u32, gpus: u32, az: f32, image: u3
     }
 }
 
+/// A one-node pool: one lazily dialed connection to `addr`.
+fn one_node_pool(addr: SocketAddr) -> NodePool {
+    NodePool::try_new(vec![addr], NodePoolConfig::default()).expect("one-node pool")
+}
+
 fn run_point(point: &SweepPoint, shards: usize, volume_size: u32, image: u32) -> SweepResult {
     let server = RenderServer::start(ServerConfig {
         shards,
@@ -90,8 +97,8 @@ fn run_point(point: &SweepPoint, shards: usize, volume_size: u32, image: u32) ->
             .map(|c| {
                 let datasets = &datasets;
                 scope.spawn(move || {
-                    let pool: Vec<RemoteBackend> = (0..point.connections)
-                        .map(|_| RemoteBackend::connect(addr).expect("connect"))
+                    let pool: Vec<NodePool> = (0..point.connections)
+                        .map(|_| one_node_pool(addr))
                         .collect();
                     let dataset = datasets[c % datasets.len()];
                     let gpus = 1 + (c % 2) as u32;
@@ -204,7 +211,8 @@ fn node_sweep(
 }
 
 /// Part 3: the C10K knee — `total` connections held open against ONE
-/// server, of which only `hot` issue renders; the rest are mostly-idle
+/// server, of which only `hot` (each a one-node [`NodePool`]) issue
+/// renders; the rest are raw [`mgpu_net::RenderClient`]s, mostly-idle
 /// sessions that just sit registered in the event loop (the fleet-viewer
 /// shape: thousands watching, a few driving). Reports the hot sessions'
 /// p50/p99 round trip as the idle population grows: a thread-per-connection
@@ -241,8 +249,7 @@ fn knee_point(
             .map(|h| {
                 let datasets = &datasets;
                 scope.spawn(move || {
-                    let client = mgpu_net::RenderClient::connect(addr).expect("hot connect");
-                    let backend = RemoteBackend::from_client(client);
+                    let backend = one_node_pool(addr);
                     let dataset = datasets[h % datasets.len()];
                     let mut rtts = Vec::with_capacity(frames_each);
                     for f in 0..frames_each {

@@ -302,8 +302,9 @@ impl RenderClient {
     /// threads sharing this client) all proceed at once; replies are
     /// matched by `request_id`. Admission shedding surfaces as a typed
     /// [`ClientError::Admission`] — the server answers inline instead of
-    /// parking the request; retry loops live in the backends above the
-    /// client (`RemoteBackend`, `NodePool`).
+    /// parking the request; the retry loop lives in the backend above the
+    /// client (`NodePool`, one node or many), bounded by its
+    /// `RetryBudget`.
     pub fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
         let pending = self.begin_render(request)?;
         self.finish_render(pending)

@@ -57,14 +57,15 @@
 //!   `admit → queue → plan → stage → kernel → composite → render →
 //!   reply`, seeded from the wire `request_id`); `NodePool::obs_snapshot`
 //!   fetches and exactly merges every reachable node's snapshot.
-//! * **Backends** — [`remote::RemoteBackend`] puts one server behind the
-//!   [`mgpu_serve::RenderBackend`] trait; [`pool::NodePool`] puts N servers
-//!   behind it with a rendezvous [`pool::Directory`] (the same placement
+//! * **Backend** — [`pool::NodePool`] is the one remote
+//!   [`mgpu_serve::RenderBackend`]: it puts one server or N servers behind
+//!   the trait with a rendezvous [`pool::Directory`] (the same placement
 //!   policy `ShardedService` uses in-process), one pipelined connection
-//!   per node carrying all of that node's in-flight work, a typed
-//!   [`pool::RetryBudget`] that honors server `retry_after`, and failover
-//!   to the next-ranked node on connection loss that re-issues only the
-//!   lost request ids.
+//!   per node carrying all of that node's in-flight work (re-dialed when
+//!   lost), a typed [`pool::RetryBudget`] that honors server `retry_after`
+//!   and bounds every blocking wait, and failover to the next-ranked node
+//!   on connection loss that re-issues only the lost request ids. A
+//!   one-node pool is how a caller reaches a single server.
 //! * **Elastic membership** — since **v4** the directory is *live*:
 //!   nodes join ([`NodePool::add_node`]), drain
 //!   ([`NodePool::drain_node`]: the node answers everything it owes,
@@ -84,7 +85,6 @@ pub mod heat;
 pub mod pool;
 pub mod ratelimit;
 pub mod rebalance;
-pub mod remote;
 pub mod server;
 pub mod wire;
 
@@ -98,7 +98,6 @@ pub use ratelimit::{RateLimitConfig, TokenBucket};
 pub use rebalance::{
     rebalance_once, MigrationReport, RebalanceConfig, RebalanceOutcome, Rebalancer,
 };
-pub use remote::RemoteBackend;
 pub use server::{RenderServer, ServerConfig};
 pub use wire::{
     CameraSpec, DrainState, NetFrame, NetSceneRequest, TransferSpec, VolumeSpec, WireError,

@@ -1,7 +1,11 @@
-//! [`NodePool`]: N [`crate::RenderServer`]s behind one [`RenderBackend`],
-//! with placement, connection reuse, retry budgets, failover — and, since
-//! wire v4, **elastic membership**: nodes join, drain and leave under live
-//! traffic, hot keys migrate, and no admitted frame is ever lost.
+//! [`NodePool`]: one or N [`crate::RenderServer`]s behind one
+//! [`RenderBackend`] — the workspace's only remote backend — with
+//! placement, connection reuse, retry budgets, failover — and, since wire
+//! v4, **elastic membership**: nodes join, drain and leave under live
+//! traffic, hot keys migrate, and no admitted frame is ever lost. A
+//! one-node pool (`NodePool::try_new(vec![addr], ..)`) is how a caller
+//! reaches a single server: it still re-dials a lost connection and bounds
+//! every blocking wait by its [`RetryBudget`].
 //!
 //! ```text
 //!                    NodePool (RenderBackend)
@@ -52,8 +56,49 @@ use mgpu_serve::{
 
 use crate::client::{ClientConfig, ClientError, NetTicket, RenderClient};
 use crate::heat::NetStats;
-use crate::remote::{backend_error, backend_frame, portable};
-use crate::wire::{DrainState, NetSceneRequest};
+use crate::wire::{DrainState, NetFrame, NetSceneRequest};
+
+/// Fold a wire-level failure into the shared backend vocabulary. Semantic
+/// errors cross losslessly; transport and protocol failures collapse into
+/// [`BackendError::Transport`] (the caller can't do anything more specific
+/// with them than retry elsewhere).
+fn backend_error(err: ClientError) -> BackendError {
+    match err {
+        ClientError::Admission(err) => BackendError::Admission(err),
+        ClientError::Throttled { retry_after } => BackendError::Throttled { retry_after },
+        ClientError::TicketsFull { outstanding, limit } => {
+            BackendError::TicketsFull { outstanding, limit }
+        }
+        ClientError::Render(err) => BackendError::Render(err),
+        ClientError::Wire(err) => BackendError::Transport(err.to_string()),
+        ClientError::Draining { epoch } => BackendError::Transport(format!(
+            "node is draining (directory epoch {epoch}): route elsewhere"
+        )),
+        ClientError::Goodbye => {
+            BackendError::Transport("node drained and said goodbye".to_string())
+        }
+        ClientError::Protocol(what) => BackendError::Transport(what),
+    }
+}
+
+/// Encode an in-process request for the wire, or explain why it can't go.
+/// The wire form is built once per request and shared (heat table, pending
+/// ticket) by `Arc`: a shipped volume can be tens of MiB.
+fn portable(request: &SceneRequest) -> Result<Arc<NetSceneRequest>, BackendError> {
+    NetSceneRequest::from_request(request)
+        .map(Arc::new)
+        .map_err(BackendError::Unsupported)
+}
+
+fn backend_frame(frame: NetFrame) -> BackendFrame {
+    BackendFrame {
+        image: Arc::new(frame.image),
+        from_cache: frame.from_cache,
+        sim_frame: frame.sim_frame,
+        // The wire ships the simulated frame time, not the full report.
+        report: None,
+    }
+}
 
 /// Why a [`Directory`] could not be built or changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,18 +376,30 @@ impl From<DirectoryError> for PoolConfigError {
 pub struct NodeError {
     /// Directory index at the time of the call.
     pub node: usize,
-    /// The node's address (stable across index remaps).
-    pub addr: SocketAddr,
+    /// The node's address (stable across index remaps); `None` when the
+    /// index is not in the directory at all.
+    pub addr: Option<SocketAddr>,
     pub error: BackendError,
 }
 
 impl std::fmt::Display for NodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node {} ({}): {}", self.node, self.addr, self.error)
+        match self.addr {
+            Some(addr) => write!(f, "node {} ({addr}): {}", self.node, self.error),
+            None => write!(f, "node {}: {}", self.node, self.error),
+        }
     }
 }
 
 impl std::error::Error for NodeError {}
+
+fn node_error(node: usize, addr: SocketAddr, error: ClientError) -> NodeError {
+    NodeError {
+        node,
+        addr: Some(addr),
+        error: backend_error(error),
+    }
+}
 
 /// One pooled connection slot. `generation` counts (re)connects, so a
 /// ticket issued on a connection that later died can never redeem against
@@ -387,7 +444,7 @@ impl PoolTicket {
 /// to re-render elsewhere when the issuing connection is gone.
 struct PendingEntry {
     key: BatchKey,
-    net: NetSceneRequest,
+    net: Arc<NetSceneRequest>,
     slot: Arc<Mutex<NodeSlot>>,
     generation: u64,
     ticket: NetTicket,
@@ -397,7 +454,7 @@ struct PendingEntry {
 /// find hot keys, and the request it replays to pre-warm a destination.
 struct KeyTraffic {
     frames: u64,
-    last: NetSceneRequest,
+    last: Arc<NetSceneRequest>,
 }
 
 /// Bound on distinct keys tracked for rebalancing; the coldest entry is
@@ -417,6 +474,23 @@ struct PoolState {
     /// Nodes being drained: excluded from new-work routing (they would
     /// refuse with `DRAINING` anyway — skipping saves the round-trip).
     draining: Vec<bool>,
+}
+
+impl PoolState {
+    /// `node`'s address, or the [`NodeError`] for an index the directory
+    /// does not have — the one lookup every per-index control call shares.
+    fn addr(&self, node: usize) -> Result<SocketAddr, NodeError> {
+        self.directory.addrs().get(node).copied().ok_or_else(|| {
+            let nodes = self.directory.len();
+            NodeError {
+                node,
+                addr: None,
+                error: BackendError::Transport(
+                    DirectoryError::UnknownNode { node, nodes }.to_string(),
+                ),
+            }
+        })
+    }
 }
 
 fn fresh_slot() -> Arc<Mutex<NodeSlot>> {
@@ -628,11 +702,11 @@ impl NodePool {
     }
 
     /// Note one frame of traffic for `key` (rebalancer fuel).
-    fn record_heat(&self, key: &BatchKey, net: &NetSceneRequest) {
+    fn record_heat(&self, key: &BatchKey, net: &Arc<NetSceneRequest>) {
         let mut heat = self.key_heat.lock();
         if let Some(traffic) = heat.get_mut(key) {
             traffic.frames += 1;
-            traffic.last = net.clone();
+            traffic.last = Arc::clone(net);
             return;
         }
         if heat.len() >= KEY_HEAT_CAP {
@@ -648,7 +722,7 @@ impl NodePool {
             key.clone(),
             KeyTraffic {
                 frames: 1,
-                last: net.clone(),
+                last: Arc::clone(net),
             },
         );
     }
@@ -668,8 +742,8 @@ impl NodePool {
     /// The most recent request observed for `key` — what a rebalancer
     /// replays as a `PREWARM` so the migration destination builds its
     /// plan before the cutover.
-    pub fn last_request(&self, key: &BatchKey) -> Option<NetSceneRequest> {
-        self.key_heat.lock().get(key).map(|t| t.last.clone())
+    pub fn last_request(&self, key: &BatchKey) -> Option<Arc<NetSceneRequest>> {
+        self.key_heat.lock().get(key).map(|t| Arc::clone(&t.last))
     }
 
     // --- elastic membership -----------------------------------------------
@@ -728,63 +802,43 @@ impl NodePool {
     /// answering everything it still owes. Idempotent. Returns the node's
     /// drain state (with its outstanding-work count).
     pub fn drain_node(&self, node: usize) -> Result<DrainState, NodeError> {
-        let (addr, epoch) = {
-            let mut state = self.state.write();
-            let Some(&addr) = state.directory.addrs().get(node) else {
-                let nodes = state.directory.len();
-                return Err(NodeError {
-                    node,
-                    addr: "0.0.0.0:0".parse().expect("literal addr"),
-                    error: BackendError::Transport(
-                        DirectoryError::UnknownNode { node, nodes }.to_string(),
-                    ),
-                });
-            };
-            if !state.draining[node] {
-                state.draining[node] = true;
-                state.directory.bump_epoch();
-                mgpu_obs::global()
-                    .counter(names::POOL_DRAIN_INITIATED)
-                    .inc();
-            }
-            (addr, state.directory.epoch())
-        };
-        self.control(node, |client| client.drain(epoch))
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+        self.set_draining(node, true, RenderClient::drain, || {
+            mgpu_obs::global()
+                .counter(names::POOL_DRAIN_INITIATED)
+                .inc()
+        })
     }
 
     /// Undo a drain: the node re-enters the routing tables (epoch bump)
     /// and accepts new work again. Idempotent.
     pub fn resume_node(&self, node: usize) -> Result<DrainState, NodeError> {
+        self.set_draining(node, false, RenderClient::resume, || {
+            mgpu_obs::global().counter(names::POOL_DRAIN_RESUMED).inc()
+        })
+    }
+
+    /// Set the pool's drain flag for `node` (bumping the epoch and calling
+    /// `changed` only when the flag flips), then announce the epoch to the
+    /// node with `announce` (`DRAIN` or `RESUME`).
+    fn set_draining(
+        &self,
+        node: usize,
+        draining: bool,
+        announce: impl Fn(&RenderClient, u64) -> Result<DrainState, ClientError>,
+        changed: impl FnOnce(),
+    ) -> Result<DrainState, NodeError> {
         let (addr, epoch) = {
             let mut state = self.state.write();
-            let Some(&addr) = state.directory.addrs().get(node) else {
-                let nodes = state.directory.len();
-                return Err(NodeError {
-                    node,
-                    addr: "0.0.0.0:0".parse().expect("literal addr"),
-                    error: BackendError::Transport(
-                        DirectoryError::UnknownNode { node, nodes }.to_string(),
-                    ),
-                });
-            };
-            if state.draining[node] {
-                state.draining[node] = false;
+            let addr = state.addr(node)?;
+            if state.draining[node] != draining {
+                state.draining[node] = draining;
                 state.directory.bump_epoch();
-                mgpu_obs::global().counter(names::POOL_DRAIN_RESUMED).inc();
+                changed();
             }
             (addr, state.directory.epoch())
         };
-        self.control(node, |client| client.resume(epoch))
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+        self.control(node, |client| announce(client, epoch))
+            .map_err(|error| node_error(node, addr, error))
     }
 
     /// Has a draining node finished? True once it owes nothing (or has
@@ -827,53 +881,62 @@ impl NodePool {
     /// reply says which shard was warmed and whether a plan was actually
     /// built (`false` = already warm).
     pub fn prewarm(&self, node: usize, net: &NetSceneRequest) -> Result<(u32, bool), NodeError> {
-        let addr = self
-            .slot_for(node)
-            .map(|(addr, _)| addr)
-            .unwrap_or_else(|| "0.0.0.0:0".parse().expect("literal addr"));
-        let epoch = self.epoch();
+        let (addr, epoch) = {
+            let state = self.state.read();
+            (state.addr(node)?, state.directory.epoch())
+        };
         self.control(node, |client| client.prewarm(epoch, net))
             .inspect(|_| {
                 mgpu_obs::global()
                     .counter(names::POOL_REBALANCE_PREWARMS)
                     .inc();
             })
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+            .map_err(|error| node_error(node, addr, error))
     }
 
     // --- observability ----------------------------------------------------
+
+    /// Run `op` once on every node, in directory order; an unreachable
+    /// node yields a [`NodeError`] naming it.
+    fn each_node<T>(
+        &self,
+        op: impl Fn(&RenderClient) -> Result<T, ClientError>,
+    ) -> Vec<Result<T, NodeError>> {
+        let addrs = self.state.read().directory.addrs().to_vec();
+        addrs
+            .into_iter()
+            .enumerate()
+            .map(|(node, addr)| {
+                self.on_node(node, &op)
+                    .map(|(_, _, value)| value)
+                    .map_err(|error| node_error(node, addr, error))
+            })
+            .collect()
+    }
+
+    /// Every reachable node's stats. Fails only when no node answers —
+    /// and then names the last node that refused.
+    fn reachable_stats(&self) -> Result<Vec<NetStats>, BackendError> {
+        let mut reached = Vec::new();
+        let mut last_err = None;
+        for stats in self.node_stats() {
+            match stats {
+                Ok(stats) => reached.push(stats),
+                Err(err) => last_err = Some(err),
+            }
+        }
+        match (reached.is_empty(), last_err) {
+            (true, Some(err)) => Err(BackendError::Transport(err.to_string())),
+            _ => Ok(reached),
+        }
+    }
 
     /// Per-node stats (merged report + per-shard heat + obs snapshot +
     /// echoed epoch), indexed like the directory; unreachable nodes
     /// report a [`NodeError`] that names the node and address, so a dead
     /// node is distinguishable from a hot one.
     pub fn node_stats(&self) -> Vec<Result<NetStats, NodeError>> {
-        let nodes: Vec<(usize, SocketAddr)> = {
-            let state = self.state.read();
-            state
-                .directory
-                .addrs()
-                .iter()
-                .copied()
-                .enumerate()
-                .collect()
-        };
-        nodes
-            .into_iter()
-            .map(|(node, addr)| {
-                self.on_node(node, |client| client.stats())
-                    .map(|(_, _, stats)| stats)
-                    .map_err(|error| NodeError {
-                        node,
-                        addr,
-                        error: backend_error(error),
-                    })
-            })
-            .collect()
+        self.each_node(RenderClient::stats)
     }
 
     /// One pool-wide obs snapshot: every reachable node's STATS snapshot
@@ -883,48 +946,16 @@ impl NodePool {
     /// and then names the last node that refused.
     pub fn obs_snapshot(&self) -> Result<mgpu_obs::Snapshot, BackendError> {
         let mut merged = mgpu_obs::Snapshot::new();
-        let mut reached = false;
-        let mut last_err = None;
-        for stats in self.node_stats() {
-            match stats {
-                Ok(stats) => {
-                    merged.merge(&stats.obs);
-                    reached = true;
-                }
-                Err(err) => last_err = Some(err),
-            }
+        for stats in self.reachable_stats()? {
+            merged.merge(&stats.obs);
         }
-        match (reached, last_err) {
-            (false, Some(err)) => Err(BackendError::Transport(err.to_string())),
-            _ => Ok(merged),
-        }
+        Ok(merged)
     }
 
     /// Each node's most recent completed request traces (newest first, at
     /// most `max` per node), indexed like the directory.
     pub fn node_traces(&self, max: u32) -> Vec<Result<Vec<mgpu_obs::CompletedTrace>, NodeError>> {
-        let nodes: Vec<(usize, SocketAddr)> = {
-            let state = self.state.read();
-            state
-                .directory
-                .addrs()
-                .iter()
-                .copied()
-                .enumerate()
-                .collect()
-        };
-        nodes
-            .into_iter()
-            .map(|(node, addr)| {
-                self.on_node(node, |client| client.traces(max))
-                    .map(|(_, _, traces)| traces)
-                    .map_err(|error| NodeError {
-                        node,
-                        addr,
-                        error: backend_error(error),
-                    })
-            })
-            .collect()
+        self.each_node(|client| client.traces(max))
     }
 
     /// Submit through `drive` and park a pending entry so the ticket can
@@ -1028,18 +1059,8 @@ impl RenderBackend for NodePool {
     /// Pool-level merged accounting: every reachable node's merged report
     /// folded together. Fails only when *no* node answers.
     fn report(&self) -> Result<ServiceReport, BackendError> {
-        let mut reports = Vec::new();
-        let mut last_err = None;
-        for stats in self.node_stats() {
-            match stats {
-                Ok(stats) => reports.push(stats.merged),
-                Err(err) => last_err = Some(err),
-            }
-        }
-        match (reports.is_empty(), last_err) {
-            (true, Some(err)) => Err(BackendError::Transport(err.to_string())),
-            _ => Ok(ServiceReport::merged(&reports)),
-        }
+        let stats = self.reachable_stats()?;
+        Ok(ServiceReport::merged(stats.iter().map(|s| &s.merged)))
     }
 
     /// Disconnect from every node, returning the best-effort merged report
@@ -1175,6 +1196,40 @@ mod tests {
         dir.remove_node(0).unwrap();
         dir.remove_node(0).unwrap();
         assert_eq!(dir.remove_node(0), Err(DirectoryError::LastNode));
+    }
+
+    /// Control calls on an index the directory does not have name the
+    /// index, invent no address, and leave placement untouched.
+    #[test]
+    fn unknown_node_indices_are_typed_errors_without_an_address() {
+        use mgpu_voldata::Dataset;
+        use mgpu_volren::TransferFunction;
+
+        let pool = NodePool::try_new(addrs(2), NodePoolConfig::default()).unwrap();
+        let net = NetSceneRequest::orbit_dataset(
+            Dataset::Skull,
+            8,
+            1,
+            0.0,
+            0.0,
+            &TransferFunction::bone(),
+        );
+        let errors = [
+            pool.drain_node(2).expect_err("drain of an unknown node"),
+            pool.resume_node(2).expect_err("resume of an unknown node"),
+            pool.prewarm(2, &net)
+                .expect_err("prewarm of an unknown node"),
+        ];
+        for err in errors {
+            assert_eq!(err.node, 2);
+            assert_eq!(err.addr, None);
+            let text = err.to_string();
+            assert!(text.starts_with("node 2: "), "{text}");
+            assert!(text.contains("not in the directory (2 nodes)"), "{text}");
+            assert!(!text.contains("0.0.0.0"), "{text}");
+        }
+        assert_eq!(pool.epoch(), 0, "a refused control call changes nothing");
+        assert!(!pool.draining(2));
     }
 
     /// An unreachable node exhausts the budget with a typed transport

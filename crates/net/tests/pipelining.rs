@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use mgpu_net::wire::{self, read_frame, Reply, Request};
-use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
+use mgpu_net::{NetSceneRequest, NetTicket, RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::ServiceConfig;
 use mgpu_voldata::Dataset;
 use mgpu_volren::{RenderConfig, TransferFunction};
@@ -179,7 +179,8 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
 
 /// Once a ticket's render completes *after* its REDEEM arrived (the parked
 /// redeem path), the reply carries the REDEEM's id — and a second redeem of
-/// the same ticket is a typed unknown-ticket error.
+/// the same ticket, like a never-issued one, is a typed unknown-ticket
+/// error that leaves the connection usable.
 #[test]
 fn parked_redeems_resolve_and_tickets_redeem_once() {
     let server = server(1, 1);
@@ -197,6 +198,18 @@ fn parked_redeems_resolve_and_tickets_redeem_once() {
         }
         other => panic!("double redeem must be a typed error, got {other:?}"),
     }
+    // A ticket the server never issued gets the same typed refusal.
+    match client.redeem(NetTicket::from_id(0xDEAD)) {
+        Err(mgpu_net::ClientError::Protocol(what)) => {
+            assert!(what.contains("unknown ticket"), "unexpected: {what}")
+        }
+        other => panic!("never-issued ticket must be a typed error, got {other:?}"),
+    }
+    // The connection survives both bad redeems.
+    let frame = client
+        .render(&sized_request(9.0, 12))
+        .expect("render after bad redeems");
+    assert_eq!(frame.image.width(), 12);
 
     server.shutdown();
 }

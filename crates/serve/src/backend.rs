@@ -20,8 +20,7 @@
 //! |------------------------------|-------------|--------------------------------|
 //! | [`RenderService`]            | `mgpu-serve`| one process, one queue         |
 //! | [`ShardedService`]           | `mgpu-serve`| N in-process shards            |
-//! | `RemoteBackend`              | `mgpu-net`  | one server over TCP            |
-//! | `NodePool`                   | `mgpu-net`  | N servers behind a directory   |
+//! | `NodePool`                   | `mgpu-net`  | 1..N servers over TCP          |
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,13 +1,14 @@
 //! The render service on the wire, driven through the same `RenderBackend`
 //! trait as the in-process services: a [`RenderServer`] (2 shards,
-//! per-session rate limiting) serves two [`RemoteBackend`] clients over
-//! localhost — one orbiting the skull, one the supernova — plus a repeated
-//! view that comes back from the frame cache without a render. Every
-//! delivered frame is verified bit-identical to a direct `render` call; the
-//! `STATS` round-trip shows the per-shard heat the routing produced; a
-//! final vignette shows the token bucket throttling a client that submits
-//! faster than its budget (visible on the raw [`RenderClient`] — the
-//! backend wrapper would politely sleep the throttle out).
+//! per-session rate limiting) serves two one-node [`NodePool`] clients
+//! over localhost — one orbiting the skull, one the supernova — plus a
+//! repeated view that comes back from the frame cache without a render.
+//! Every delivered frame is verified bit-identical to a direct `render`
+//! call; the `STATS` round-trip shows the per-shard heat the routing
+//! produced; a final vignette shows the token bucket throttling a client
+//! that submits faster than its budget (visible on the raw
+//! [`RenderClient`] — the pool would politely sleep the throttle out
+//! within its `RetryBudget`).
 //!
 //!     cargo run --release --example net_service
 
@@ -30,23 +31,23 @@ fn main() {
     let cfg = RenderConfig::test_size(64);
     let frames_per_client = 8;
 
-    // Two backends = two connections (sessions); the SAME session code
-    // would run over a local RenderService — that is the point of the
-    // trait. Explicit timeouts: a dead node fails the call instead of
-    // hanging it.
-    let client_cfg = ClientConfig {
-        connect_timeout: Some(std::time::Duration::from_secs(5)),
-        read_timeout: Some(std::time::Duration::from_secs(120)),
-        ..ClientConfig::default()
+    // Two one-node pools = two connections (sessions); the SAME session
+    // code would run over a local RenderService — that is the point of
+    // the trait. The pool's default timeouts are finite, so a dead node
+    // fails the call instead of hanging it, and a lost connection is
+    // re-dialed.
+    let one_node = || {
+        NodePool::try_new(vec![server.addr()], NodePoolConfig::default()).expect("one-node pool")
     };
-    let skull_backend =
-        RemoteBackend::connect_with(server.addr(), client_cfg).expect("connect skull client");
-    let nova_backend =
-        RemoteBackend::connect_with(server.addr(), client_cfg).expect("connect nova client");
-    println!(
-        "clients connected (server reports {} shards)\n",
-        skull_backend.shards()
-    );
+    let skull_backend = one_node();
+    let nova_backend = one_node();
+    let shards = skull_backend
+        .node_stats()
+        .remove(0)
+        .expect("node stats")
+        .shards
+        .len();
+    println!("pools ready (server reports {shards} shards)\n");
 
     let skull = Dataset::Skull.volume(32);
     let nova = Dataset::Supernova.volume(32);
@@ -122,8 +123,8 @@ fn main() {
     );
 
     // Rate-limit vignette on the RAW client: 2 frames of budget, then
-    // typed throttling with an exact retry-after. (RemoteBackend would
-    // sleep the retry_after out instead of surfacing it.)
+    // typed throttling with an exact retry-after. (A NodePool would sleep
+    // the retry_after out, up to its RetryBudget, instead of surfacing it.)
     let throttled_server = RenderServer::start(ServerConfig {
         shards: 1,
         rate_limit: Some(RateLimitConfig::new(0.5, 2)),

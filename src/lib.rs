@@ -16,10 +16,10 @@
 //!   trait every front-end implements;
 //! * [`net`] — the service on the wire: protocol,
 //!   [`net::RenderServer`]/[`net::RenderClient`], per-session rate
-//!   limiting, per-shard heat stats, plus the remote backends —
-//!   [`net::RemoteBackend`] (one server) and [`net::NodePool`] (N servers
-//!   behind a live, epoch-versioned placement [`net::Directory`] with
-//!   retry budgets, failover, zero-loss graceful drains and heat-driven
+//!   limiting, per-shard heat stats, plus the one remote backend —
+//!   [`net::NodePool`] (one server, or N servers behind a live,
+//!   epoch-versioned placement [`net::Directory`] with retry budgets,
+//!   failover, zero-loss graceful drains and heat-driven
 //!   [`net::rebalance`]) — behind the same trait;
 //! * [`obs`] — the observability layer: the unified metrics
 //!   [`obs::Registry`] (counters, gauges, log₂ histograms) with exactly
@@ -61,8 +61,8 @@ pub mod prelude {
         rebalance_once, ClientConfig, ClientError, Directory, DirectoryError, DrainState,
         MigrationReport, NetFrame, NetSceneRequest, NetStats, NetTicket, NodeError, NodePool,
         NodePoolConfig, PendingRender, PoolConfigError, PoolTicket, RateLimitConfig,
-        RebalanceConfig, RebalanceOutcome, Rebalancer, RemoteBackend, RenderClient, RenderServer,
-        RetryBudget, ServerConfig, WireError,
+        RebalanceConfig, RebalanceOutcome, Rebalancer, RenderClient, RenderServer, RetryBudget,
+        ServerConfig, WireError,
     };
     pub use mgpu_obs::{CompletedTrace, Counter, Gauge, Histogram, Registry, Snapshot, Trace};
     pub use mgpu_serve::{

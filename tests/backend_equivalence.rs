@@ -1,13 +1,13 @@
 //! THE acceptance test of the `RenderBackend` redesign: one generic
 //! harness, written once against the trait, drives every backend —
-//! [`RenderService`] (one process), [`ShardedService`] (in-process shards),
-//! [`RemoteBackend`] (one TCP server) and [`NodePool`] (N TCP servers
-//! behind a placement directory) — through the same mixed workload and
-//! proves every delivered frame **bit-identical** to a direct
-//! `mgpu_volren::render` call with the same request. Plus the multi-node
-//! specifics: failover within the retry budget when a node dies mid-run,
-//! and the ticket-redemption edge cases (double redemption, unknown
-//! tickets, redemption after the issuing connection failed over).
+//! [`RenderService`] (one process), [`ShardedService`] (in-process shards)
+//! and [`NodePool`] (one TCP server, or N behind a placement directory) —
+//! through the same mixed workload and proves every delivered frame
+//! **bit-identical** to a direct `mgpu_volren::render` call with the same
+//! request. Plus the multi-node specifics: failover within the retry
+//! budget when a node dies mid-run, and the ticket-redemption edge cases
+//! (double redemption, redemption after the issuing connection failed
+//! over).
 
 use std::time::Duration;
 
@@ -231,8 +231,10 @@ fn sharded_service_frames_are_bit_identical() {
     assert_eq!(sharded.shutdown().frames_completed, completed);
 }
 
+/// One server over TCP is a one-node pool: the same harness, against a
+/// 2-shard, rate-limited server.
 #[test]
-fn remote_backend_frames_are_bit_identical() {
+fn one_node_pool_frames_are_bit_identical() {
     let server = RenderServer::start(ServerConfig {
         shards: 2,
         service: service_config(),
@@ -241,21 +243,14 @@ fn remote_backend_frames_are_bit_identical() {
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
-    let backend = RemoteBackend::connect_with(
-        server.addr(),
-        ClientConfig {
-            connect_timeout: Some(Duration::from_secs(5)),
-            // Must exceed the slowest render in the workload.
-            read_timeout: Some(Duration::from_secs(60)),
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
-    assert_eq!(backend.shards(), 2);
-    let completed = prove_frames_bit_identical(&backend, "RemoteBackend");
-    // The remote shutdown is a disconnect: the server survives and its
+    let pool =
+        NodePool::try_new(vec![server.addr()], NodePoolConfig::default()).expect("one-node pool");
+    let stats = pool.node_stats().remove(0).expect("node stats");
+    assert_eq!(stats.shards.len(), 2);
+    let completed = prove_frames_bit_identical(&pool, "one-node NodePool");
+    // The pool's shutdown is a disconnect: the server survives and its
     // final report agrees with what the client saw.
-    let last_seen = RenderBackend::shutdown(backend);
+    let last_seen = RenderBackend::shutdown(pool);
     assert_eq!(last_seen.frames_completed, completed);
     assert_eq!(server.shutdown().frames_completed, completed);
 }
@@ -365,47 +360,16 @@ fn node_pool_fails_over_within_its_retry_budget_when_a_node_dies() {
     nodes[1 - owner].take().unwrap().shutdown();
 }
 
-/// Satellite: ticket-redemption edge cases through the trait.
+/// Ticket-redemption edge cases through the trait. (The server's own
+/// unknown-ticket replies are pinned on the raw client in
+/// `crates/net/tests/pipelining.rs`.)
 #[test]
 fn ticket_redemption_edge_cases() {
-    // Remote: a ticket redeems exactly once; the second attempt and a
-    // never-issued ticket are typed transport errors, and the connection
-    // survives both.
-    let server = start_node(1);
-    let backend = RemoteBackend::connect(server.addr()).expect("connect");
-    let skull = Dataset::Skull.volume(8);
-    let request = SceneRequest {
-        spec: ClusterSpec::accelerator_cluster(1),
-        scene: Scene::orbit(&skull, 15.0, 0.0, TransferFunction::bone()),
-        volume: skull.clone(),
-        config: RenderConfig::test_size(8),
-        priority: Priority::Normal,
-    };
-    let ticket = backend.try_submit(request.clone()).expect("submit");
-    backend.redeem(ticket).expect("first redemption");
-    match backend.redeem(ticket) {
-        Err(BackendError::Transport(msg)) => {
-            assert!(msg.contains("unknown ticket"), "{msg}")
-        }
-        other => panic!("double redemption must fail typed, got {other:?}"),
-    }
-    match backend.redeem(NetTicket::from_id(0xDEAD)) {
-        Err(BackendError::Transport(msg)) => {
-            assert!(msg.contains("unknown ticket"), "{msg}")
-        }
-        other => panic!("unknown ticket must fail typed, got {other:?}"),
-    }
-    // The session (and server) survive the bad redemptions.
-    backend
-        .render(request)
-        .expect("render after bad redemptions");
-    server.shutdown();
-
-    // Pool: a ticket is pinned to the connection that issued it — but
-    // since the elastic-pool work, losing that connection no longer loses
-    // the frame: the pool re-renders the remembered request on a survivor
-    // (bit-identical, because renders are deterministic). Double
-    // redemption stays a typed error at the pool layer.
+    // A ticket is pinned to the connection that issued it, but losing
+    // that connection does not lose the frame: the pool re-renders the
+    // remembered request on a survivor (bit-identical, because renders
+    // are deterministic). Double redemption is a typed error at the pool
+    // layer.
     let mut nodes: Vec<Option<RenderServer>> = vec![Some(start_node(1)), Some(start_node(1))];
     let pool = NodePool::new(
         Directory::new(nodes.iter().map(|n| n.as_ref().unwrap().addr()).collect())
