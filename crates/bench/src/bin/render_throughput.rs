@@ -1,20 +1,22 @@
-//! Raw ray-march throughput: the batched `BlockKernel` production path
-//! head-to-head against the retained scalar `Kernel` path on one resident
-//! 256³ brick, plus an end-to-end out-of-core render of the paper-shaped
-//! plume (1:1:4 column, 512×512×2048 at full scale).
+//! Raw ray-march throughput: the `BlockKernel` production path head-to-head
+//! against the per-pixel reference (`RayCastKernel::reference_pixel`) on one
+//! resident 256³ brick, plus an end-to-end out-of-core render of the
+//! paper-shaped plume (1:1:4 column, 512×512×2048 at full scale).
 //!
 //!     cargo run --release -p mgpu-bench --bin render_throughput [-- --smoke]
 //!
 //! Smoke mode writes `BENCH_volren.json` — the CI trend artifact whose
 //! `frames_per_sec` field (batched kernel frames over the full image) is
-//! gated by `ci/bench_delta.sh`. The run also asserts the two paths agree
-//! bit-for-bit, so the perf gate doubles as an equivalence check at scale.
+//! gated by `ci/bench_delta.sh`. The run also asserts that every lane's key,
+//! fragment bits and sample count match the reference, so the perf gate
+//! doubles as an equivalence check at scale. `pixels_per_sec_scalar` and
+//! `speedup_vs_scalar` are timed on the reference loop.
 
 use std::time::Instant;
 
 use mgpu_bench::{bench_volume, standard_scene, JsonObject};
 use mgpu_cluster::ClusterSpec;
-use mgpu_gpu::{launch, launch_blocks, LaunchConfig, Texture3D};
+use mgpu_gpu::{launch_blocks, BlockCtx, LaunchConfig, Texture3D};
 use mgpu_voldata::Dataset;
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
@@ -23,7 +25,7 @@ use mgpu_volren::{RenderConfig, Residency};
 
 struct HeadToHead {
     pixels: f64,
-    scalar_px_s: f64,
+    reference_px_s: f64,
     batched_px_s: f64,
     samples_per_sec: f64,
     total_samples: u64,
@@ -57,15 +59,28 @@ fn head_to_head(volume_size: u32, image: u32, reps: usize) -> HeadToHead {
     let config = LaunchConfig::cover(image, image);
     let pixels = image as f64 * image as f64;
 
-    let mut scalar_best = f64::INFINITY;
-    let mut scalar_out = None;
+    // The reference walks the lanes in `launch_blocks` order: block-major,
+    // then row-major within the block.
+    let mut reference_best = f64::INFINITY;
+    let mut reference = Vec::with_capacity(config.total_threads());
     for _ in 0..reps {
         let t = Instant::now();
-        let out = launch(&kernel, config, 1);
-        scalar_best = scalar_best.min(t.elapsed().as_secs_f64());
-        scalar_out = Some(out);
+        reference.clear();
+        for by in 0..config.grid.1 {
+            for bx in 0..config.grid.0 {
+                let ctx = BlockCtx {
+                    block: (bx, by),
+                    dim: config.block,
+                };
+                for ty in 0..ctx.dim.1 {
+                    for tx in 0..ctx.dim.0 {
+                        reference.push(kernel.reference_pixel(ctx.global(tx, ty)));
+                    }
+                }
+            }
+        }
+        reference_best = reference_best.min(t.elapsed().as_secs_f64());
     }
-    let scalar_out = scalar_out.unwrap();
 
     let mut batched_times = Vec::with_capacity(reps);
     let mut batched_out = None;
@@ -81,9 +96,14 @@ fn head_to_head(volume_size: u32, image: u32, reps: usize) -> HeadToHead {
     let p50_kernel_ms = batched_times[batched_times.len() / 2] * 1e3;
 
     // The perf gate is only meaningful if the fast path is the same math.
-    assert_eq!(scalar_out.stats, batched_out.stats, "launch stats diverged");
-    for (i, (k, f)) in scalar_out.outputs.iter().enumerate() {
+    assert_eq!(
+        reference.len(),
+        batched_out.keys.len(),
+        "lane count diverged"
+    );
+    for (i, (k, f, n)) in reference.iter().enumerate() {
         assert_eq!(*k, batched_out.keys[i], "key mismatch at lane {i}");
+        assert_eq!(*n, batched_out.samples[i], "samples mismatch at lane {i}");
         let b = &batched_out.values[i];
         assert_eq!(
             f.color.map(f32::to_bits),
@@ -93,10 +113,15 @@ fn head_to_head(volume_size: u32, image: u32, reps: usize) -> HeadToHead {
         assert_eq!(f.depth.to_bits(), b.depth.to_bits());
         assert_eq!(f.exit.to_bits(), b.exit.to_bits());
     }
+    let reference_total: u64 = reference.iter().map(|l| l.2).sum();
+    assert_eq!(
+        reference_total, batched_out.stats.total_samples,
+        "sample totals diverged"
+    );
 
     HeadToHead {
         pixels,
-        scalar_px_s: pixels / scalar_best,
+        reference_px_s: pixels / reference_best,
         batched_px_s: pixels / batched_best,
         samples_per_sec: batched_out.stats.total_samples as f64 / batched_best,
         total_samples: batched_out.stats.total_samples,
@@ -137,18 +162,17 @@ fn plume_out_of_core(base: u32, image: u32, cache_bytes: u64) -> Oocore {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // The head-to-head always runs at 256³ — the scale the ≥1.5× batched
-    // speedup is asserted and trended at. Smoke trims repetitions and the
-    // plume, not the workload shape.
+    // The head-to-head always runs at 256³, the scale the speedup is trended
+    // at. Smoke trims repetitions and the plume, not the workload shape.
     let (reps, plume_base, plume_image) = if smoke { (3, 64, 128) } else { (5, 512, 512) };
     let image = 512u32;
 
     println!("ray-march throughput — 256^3 resident brick, {image}^2 image, best of {reps}");
     let hh = head_to_head(256, image, reps);
-    let speedup = hh.batched_px_s / hh.scalar_px_s;
-    println!("  scalar : {:>8.3} Mpx/s", hh.scalar_px_s / 1e6);
+    let speedup = hh.batched_px_s / hh.reference_px_s;
+    println!("  reference: {:>8.3} Mpx/s", hh.reference_px_s / 1e6);
     println!(
-        "  batched: {:>8.3} Mpx/s  ({speedup:.2}x)  {:>8.1} Msamples/s  p50 {:.1} ms",
+        "  batched  : {:>8.3} Mpx/s  ({speedup:.2}x)  {:>8.1} Msamples/s  p50 {:.1} ms",
         hh.batched_px_s / 1e6,
         hh.samples_per_sec / 1e6,
         hh.p50_kernel_ms
@@ -177,7 +201,7 @@ fn main() {
             // The gated metric: batched kernel frames over the full image.
             .num("frames_per_sec", hh.batched_px_s / hh.pixels)
             .num("pixels_per_sec", hh.batched_px_s)
-            .num("pixels_per_sec_scalar", hh.scalar_px_s)
+            .num("pixels_per_sec_scalar", hh.reference_px_s)
             .num("speedup_vs_scalar", speedup)
             .num("samples_per_sec", hh.samples_per_sec)
             .int("total_samples", hh.total_samples)

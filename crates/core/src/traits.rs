@@ -42,7 +42,7 @@ pub struct MapOutput<V> {
 }
 
 impl<V> MapOutput<V> {
-    /// Build from tuple-form emissions (migration helper for scalar mappers).
+    /// Build from tuple-form `(key, value)` emissions.
     pub fn from_pairs(pairs: Vec<Pair<V>>, stats: LaunchStats) -> MapOutput<V> {
         let mut keys = Vec::with_capacity(pairs.len());
         let mut values = Vec::with_capacity(pairs.len());

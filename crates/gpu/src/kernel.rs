@@ -8,21 +8,12 @@
 //! the device cost model can charge either flat throughput or
 //! divergence-aware (warp-max) time.
 //!
-//! Two execution models share one launch machinery:
-//!
-//! - **Scalar** ([`Kernel`] + [`launch`]): one virtual call per thread,
-//!   returning one `Out` per thread. Simple to write, pays per-thread
-//!   dispatch and tuple materialization on the hot path.
-//! - **Batched** ([`BlockKernel`] + [`launch_blocks`]): one call per *block*,
-//!   writing keys, values and per-thread sample tallies into caller-provided
-//!   structure-of-arrays slices ([`BlockOut`]). This lets a kernel hoist
-//!   per-block/per-row invariants out of the pixel loop and is the fast path
-//!   for the ray caster. Any scalar kernel emitting `(K, V)` runs unchanged
-//!   under the batched API via the [`Scalar`] compat adapter, with
-//!   bit-identical outputs and statistics.
-//!
-//! Both paths charge SIMT warp statistics through the same internal
-//! accumulator (`WarpAccum`), so the cost model cannot tell them apart.
+//! There is one launch engine: a [`BlockKernel`] runs one call per *block*
+//! under [`launch_blocks`], writing keys, values and per-thread sample
+//! tallies into caller-provided structure-of-arrays slices ([`BlockOut`]).
+//! That lets a kernel hoist per-block/per-row invariants out of the pixel
+//! loop. A per-thread kernel is a `BlockKernel` whose `run_block` loops over
+//! `ctx.dim` and writes lane `ctx.index(tx, ty)`.
 
 /// Threads per warp (NVIDIA Tesla-era SIMT width).
 pub const WARP_SIZE: usize = 32;
@@ -57,38 +48,6 @@ impl LaunchConfig {
     }
 }
 
-/// Per-thread execution context handed to the kernel body.
-#[derive(Debug)]
-pub struct ThreadCtx {
-    pub block: (u32, u32),
-    pub thread: (u32, u32),
-    /// Global coordinates: `block * blockDim + thread`.
-    pub global: (u32, u32),
-    samples: u64,
-}
-
-impl ThreadCtx {
-    /// Record `n` texture samples / work units for the cost model.
-    #[inline]
-    pub fn tally(&mut self, n: u64) {
-        self.samples += n;
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-/// A device kernel. `Out` is the homogeneous per-thread emission — the
-/// paper's restriction that "emitted values are homogeneous in size" and
-/// "every GPU thread must emit a key-value pair" is encoded right here in
-/// the signature: every thread returns exactly one `Out`.
-pub trait Kernel: Sync {
-    type Out: Send;
-
-    fn thread(&self, ctx: &mut ThreadCtx) -> Self::Out;
-}
-
 /// Execution statistics used by the kernel cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaunchStats {
@@ -120,9 +79,8 @@ impl LaunchStats {
     }
 }
 
-/// Incremental SIMT warp accounting, shared by the scalar and batched launch
-/// paths so both charge divergence identically: lanes fill 32-wide warps in
-/// thread order, each warp costs `WARP_SIZE · max(lane samples)`, and a
+/// Incremental SIMT warp accounting for one block: lanes fill 32-wide warps
+/// in thread order, each warp costs `WARP_SIZE · max(lane samples)`, and a
 /// partial trailing warp still occupies all lanes.
 #[derive(Default)]
 struct WarpAccum {
@@ -153,89 +111,6 @@ impl WarpAccum {
         stats.warps += self.warps;
         stats.simt_samples += self.simt_samples;
     }
-}
-
-/// Result of a launch: outputs in block-major order (block id, then thread
-/// row-major within the block) plus statistics.
-#[derive(Debug)]
-pub struct LaunchOutput<Out> {
-    pub outputs: Vec<Out>,
-    pub stats: LaunchStats,
-}
-
-/// Execute `kernel` over `config`, using up to `parallelism` host threads
-/// (block-level parallelism, matching how blocks map to SMs).
-pub fn launch<K: Kernel>(
-    kernel: &K,
-    config: LaunchConfig,
-    parallelism: usize,
-) -> LaunchOutput<K::Out>
-where
-    K::Out: Default + Clone,
-{
-    let tpb = config.threads_per_block();
-    let blocks = config.blocks();
-    let mut outputs: Vec<K::Out> = vec![K::Out::default(); blocks * tpb];
-
-    let run_block = |block_id: usize, out_slice: &mut [K::Out]| -> LaunchStats {
-        let bx = (block_id as u32) % config.grid.0;
-        let by = (block_id as u32) / config.grid.0;
-        let mut acc = WarpAccum::default();
-        let mut stats = LaunchStats {
-            threads: tpb as u64,
-            blocks: 1,
-            ..LaunchStats::default()
-        };
-        for ty in 0..config.block.1 {
-            for tx in 0..config.block.0 {
-                let mut ctx = ThreadCtx {
-                    block: (bx, by),
-                    thread: (tx, ty),
-                    global: (bx * config.block.0 + tx, by * config.block.1 + ty),
-                    samples: 0,
-                };
-                let out = kernel.thread(&mut ctx);
-                out_slice[(ty * config.block.0 + tx) as usize] = out;
-                stats.total_samples += ctx.samples;
-                acc.lane(ctx.samples);
-            }
-        }
-        acc.finish(&mut stats);
-        stats
-    };
-
-    let workers = parallelism.max(1).min(blocks.max(1));
-    if workers <= 1 || blocks <= 1 {
-        let mut stats = LaunchStats::default();
-        for (block_id, chunk) in outputs.chunks_mut(tpb).enumerate() {
-            stats.merge(&run_block(block_id, chunk));
-        }
-        return LaunchOutput { outputs, stats };
-    }
-
-    let blocks_per_worker = blocks.div_ceil(workers);
-    let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
-    std::thread::scope(|scope| {
-        for ((wi, chunk), wstats) in outputs
-            .chunks_mut(blocks_per_worker * tpb)
-            .enumerate()
-            .zip(worker_stats.iter_mut())
-        {
-            let run_block = &run_block;
-            scope.spawn(move || {
-                let first_block = wi * blocks_per_worker;
-                for (i, block_out) in chunk.chunks_mut(tpb).enumerate() {
-                    wstats.merge(&run_block(first_block + i, block_out));
-                }
-            });
-        }
-    });
-
-    let mut stats = LaunchStats::default();
-    for w in &worker_stats {
-        stats.merge(w);
-    }
-    LaunchOutput { outputs, stats }
 }
 
 /// Per-block context for a [`BlockKernel`]: which block is running and the
@@ -274,21 +149,19 @@ impl BlockCtx {
 pub struct BlockOut<'a, K, V> {
     pub keys: &'a mut [K],
     pub values: &'a mut [V],
-    /// Per-thread work tallies — the batched equivalent of
-    /// [`ThreadCtx::tally`]; these feed the same SIMT warp accounting.
+    /// Per-thread work tallies (texture samples / work units); these feed
+    /// the SIMT warp accounting.
     pub samples: &'a mut [u64],
 }
 
-/// A batched device kernel: one call per block, writing into
-/// structure-of-arrays output slices instead of returning per-thread tuples.
+/// A device kernel: one call per block, writing into structure-of-arrays
+/// output slices instead of returning per-thread tuples.
 ///
-/// This is the fast path — a kernel can hoist per-block and per-row
-/// invariants out of the inner loop and keep reusable scratch across the
-/// block. The homogeneous-emission restriction still holds: every thread
-/// owns exactly one `(key, value, samples)` lane in [`BlockOut`].
-///
-/// Scalar [`Kernel`]s emitting `(K, V)` run unchanged under this API via the
-/// [`Scalar`] adapter.
+/// A kernel can hoist per-block and per-row invariants out of the inner loop
+/// and keep reusable scratch across the block. The paper's restriction that
+/// "every GPU thread must emit a key-value pair" and that "emitted values
+/// are homogeneous in size" is encoded in [`BlockOut`]: every thread owns
+/// exactly one `(key, value, samples)` lane.
 pub trait BlockKernel: Sync {
     type Key: Send + Copy + Default;
     type Value: Send + Copy + Default;
@@ -311,9 +184,10 @@ pub struct BlockOutput<K, V> {
 /// Execute a [`BlockKernel`] over `config`, using up to `parallelism` host
 /// threads (block-level parallelism, matching how blocks map to SMs).
 ///
-/// Identical chunking, output order and SIMT accounting as [`launch`]: for
-/// any scalar kernel `k`, `launch_blocks(&Scalar(k), ..)` produces the same
-/// outputs and the same [`LaunchStats`] as `launch(&k, ..)`.
+/// Blocks are split into contiguous runs, one per worker; each worker runs
+/// its blocks in order with the same loop. The last run executes on the
+/// calling thread, so a one-worker launch spawns no thread. Output order and
+/// statistics do not depend on `parallelism`.
 pub fn launch_blocks<B: BlockKernel>(
     kernel: &B,
     config: LaunchConfig,
@@ -326,90 +200,71 @@ pub fn launch_blocks<B: BlockKernel>(
     let mut values = vec![B::Value::default(); total];
     let mut samples = vec![0u64; total];
 
-    let run_block = |block_id: usize,
-                     keys: &mut [B::Key],
-                     values: &mut [B::Value],
-                     samples: &mut [u64]|
+    // One worker's loop: blocks `first..first + n`, whose lanes are exactly
+    // the given slices.
+    let run_blocks = |first: usize,
+                      n: usize,
+                      keys: &mut [B::Key],
+                      values: &mut [B::Value],
+                      samples: &mut [u64]|
      -> LaunchStats {
-        let ctx = BlockCtx {
-            block: (
-                (block_id as u32) % config.grid.0,
-                (block_id as u32) / config.grid.0,
-            ),
-            dim: config.block,
-        };
-        kernel.run_block(
-            &ctx,
-            BlockOut {
-                keys,
-                values,
-                samples,
-            },
-        );
-        let mut stats = LaunchStats {
-            threads: tpb as u64,
-            blocks: 1,
-            ..LaunchStats::default()
-        };
-        let mut acc = WarpAccum::default();
-        for &s in samples.iter() {
-            stats.total_samples += s;
-            acc.lane(s);
+        let mut stats = LaunchStats::default();
+        for b in 0..n {
+            let block_id = (first + b) as u32;
+            let ctx = BlockCtx {
+                block: (block_id % config.grid.0, block_id / config.grid.0),
+                dim: config.block,
+            };
+            let lanes = b * tpb..(b + 1) * tpb;
+            let samples = &mut samples[lanes.clone()];
+            kernel.run_block(
+                &ctx,
+                BlockOut {
+                    keys: &mut keys[lanes.clone()],
+                    values: &mut values[lanes],
+                    samples,
+                },
+            );
+            stats.threads += tpb as u64;
+            stats.blocks += 1;
+            let mut acc = WarpAccum::default();
+            for &s in samples.iter() {
+                stats.total_samples += s;
+                acc.lane(s);
+            }
+            acc.finish(&mut stats);
         }
-        acc.finish(&mut stats);
         stats
     };
 
-    let workers = parallelism.max(1).min(blocks.max(1));
-    if workers <= 1 || blocks <= 1 {
+    let workers = parallelism.clamp(1, blocks.max(1));
+    let per_worker = blocks.div_ceil(workers).max(1);
+    let stats = std::thread::scope(|scope| {
         let mut stats = LaunchStats::default();
-        for block_id in 0..blocks {
-            let lo = block_id * tpb;
-            stats.merge(&run_block(
-                block_id,
-                &mut keys[lo..lo + tpb],
-                &mut values[lo..lo + tpb],
-                &mut samples[lo..lo + tpb],
-            ));
+        let mut handles = Vec::with_capacity(workers - 1);
+        let (mut kr, mut vr, mut sr) = (&mut keys[..], &mut values[..], &mut samples[..]);
+        for first in (0..blocks).step_by(per_worker) {
+            let n = per_worker.min(blocks - first);
+            let (kc, k_rest) = std::mem::take(&mut kr).split_at_mut(n * tpb);
+            let (vc, v_rest) = std::mem::take(&mut vr).split_at_mut(n * tpb);
+            let (sc, s_rest) = std::mem::take(&mut sr).split_at_mut(n * tpb);
+            (kr, vr, sr) = (k_rest, v_rest, s_rest);
+            if first + n < blocks {
+                let run_blocks = &run_blocks;
+                handles.push(scope.spawn(move || run_blocks(first, n, kc, vc, sc)));
+            } else {
+                stats.merge(&run_blocks(first, n, kc, vc, sc));
+            }
         }
-        return BlockOutput {
-            keys,
-            values,
-            samples,
-            stats,
-        };
-    }
-
-    let blocks_per_worker = blocks.div_ceil(workers);
-    let per_worker = blocks_per_worker * tpb;
-    let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
-    std::thread::scope(|scope| {
-        for ((((wi, kc), vc), sc), wstats) in keys
-            .chunks_mut(per_worker)
-            .enumerate()
-            .zip(values.chunks_mut(per_worker))
-            .zip(samples.chunks_mut(per_worker))
-            .zip(worker_stats.iter_mut())
-        {
-            let run_block = &run_block;
-            scope.spawn(move || {
-                let first_block = wi * blocks_per_worker;
-                for (i, ((kb, vb), sb)) in kc
-                    .chunks_mut(tpb)
-                    .zip(vc.chunks_mut(tpb))
-                    .zip(sc.chunks_mut(tpb))
-                    .enumerate()
-                {
-                    wstats.merge(&run_block(first_block + i, kb, vb, sb));
-                }
-            });
+        for h in handles {
+            match h.join() {
+                Ok(s) => stats.merge(&s),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        stats
     });
 
-    let mut stats = LaunchStats::default();
-    for w in &worker_stats {
-        stats.merge(w);
-    }
     BlockOutput {
         keys,
         values,
@@ -418,56 +273,47 @@ pub fn launch_blocks<B: BlockKernel>(
     }
 }
 
-/// Compatibility adapter: runs a scalar [`Kernel`] emitting `(K, V)` pairs
-/// under the batched [`BlockKernel`] API, thread by thread.
-///
-/// `launch_blocks(&Scalar(k), config, p)` is bit-identical (outputs and
-/// statistics) to `launch(&k, config, p)` — this is the migration path for
-/// kernels that have not been rewritten for block execution.
-pub struct Scalar<T>(pub T);
-
-impl<T, K, V> BlockKernel for Scalar<T>
-where
-    T: Kernel<Out = (K, V)>,
-    K: Send + Copy + Default,
-    V: Send + Copy + Default,
-{
-    type Key = K;
-    type Value = V;
-
-    fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, K, V>) {
-        for ty in 0..ctx.dim.1 {
-            for tx in 0..ctx.dim.0 {
-                let mut tctx = ThreadCtx {
-                    block: ctx.block,
-                    thread: (tx, ty),
-                    global: ctx.global(tx, ty),
-                    samples: 0,
-                };
-                let (k, v) = self.0.thread(&mut tctx);
-                let i = ctx.index(tx, ty);
-                out.keys[i] = k;
-                out.values[i] = v;
-                out.samples[i] = tctx.samples;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Emits its own global coordinates and tallies `global.0` samples.
-    struct ProbeKernel;
+    /// Per-thread probe: each lane's key is its global coordinates, its value
+    /// its `(block, thread)` coordinates, and it tallies `work(global)`.
+    struct Probe<F>(F);
 
-    impl Kernel for ProbeKernel {
-        type Out = (u32, u32);
+    impl<F: Fn((u32, u32)) -> u64 + Sync> BlockKernel for Probe<F> {
+        type Key = (u32, u32);
+        type Value = [u32; 4];
 
-        fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u32) {
-            ctx.tally(ctx.global.0 as u64);
-            ctx.global
+        fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, (u32, u32), [u32; 4]>) {
+            for ty in 0..ctx.dim.1 {
+                for tx in 0..ctx.dim.0 {
+                    let g = ctx.global(tx, ty);
+                    let i = ctx.index(tx, ty);
+                    out.keys[i] = g;
+                    out.values[i] = [ctx.block.0, ctx.block.1, tx, ty];
+                    out.samples[i] = (self.0)(g);
+                }
+            }
         }
+    }
+
+    fn probe(
+        work: impl Fn((u32, u32)) -> u64 + Sync,
+        config: LaunchConfig,
+        parallelism: usize,
+    ) -> BlockOutput<(u32, u32), [u32; 4]> {
+        launch_blocks(&Probe(work), config, parallelism)
+    }
+
+    fn assert_same<K: PartialEq + std::fmt::Debug, V: PartialEq + std::fmt::Debug>(
+        a: &BlockOutput<K, V>,
+        b: &BlockOutput<K, V>,
+    ) {
+        assert_eq!(a.keys, b.keys);
+        assert_eq!(a.values, b.values);
+        assert_eq!(a.samples, b.samples);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -485,23 +331,53 @@ mod tests {
             grid: (2, 2),
             block: (4, 2),
         };
-        let out = launch(&ProbeKernel, c, 1);
-        assert_eq!(out.outputs.len(), 32);
+        let out = probe(|g| g.0 as u64, c, 1);
+        assert_eq!(out.keys.len(), 32);
+        assert_eq!(out.values.len(), 32);
+        assert_eq!(out.samples.len(), 32);
         // Block 0 thread (0,0) is global (0,0).
-        assert_eq!(out.outputs[0], (0, 0));
+        assert_eq!(out.keys[0], (0, 0));
         // Block 1 is grid-x=1: its thread (0,0) is global (4,0).
-        assert_eq!(out.outputs[8], (4, 0));
+        assert_eq!(out.keys[8], (4, 0));
+        assert_eq!(out.values[8], [1, 0, 0, 0]);
         // Block 2 is grid-y=1: its thread (1,1) is global (1,3).
-        assert_eq!(out.outputs[16 + 5], (1, 3));
+        assert_eq!(out.keys[16 + 5], (1, 3));
+        assert_eq!(out.values[16 + 5], [0, 1, 1, 1]);
+        // Each lane's tally lands in its own slot.
+        assert_eq!(out.samples[8], 4);
     }
 
     #[test]
     fn serial_and_parallel_agree() {
+        // Ragged per-thread work, so every warp charges differently.
+        let work = |g: (u32, u32)| (g.0 as u64 * 7 + g.1 as u64) % 13;
         let c = LaunchConfig::cover(64, 64);
-        let a = launch(&ProbeKernel, c, 1);
-        let b = launch(&ProbeKernel, c, 4);
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.stats, b.stats);
+        assert_same(&probe(work, c, 1), &probe(work, c, 4));
+    }
+
+    #[test]
+    fn launch_blocks_serial_and_parallel_agree() {
+        // 21 blocks: uneven splits, and more workers than blocks.
+        let c = LaunchConfig::cover(100, 33);
+        let serial = probe(|g| g.0 as u64, c, 1);
+        for parallelism in [2, 3, 4, 5, 8, 21, 64] {
+            assert_same(&serial, &probe(|g| g.0 as u64, c, parallelism));
+        }
+    }
+
+    #[test]
+    fn zero_block_grid_is_empty() {
+        let c = LaunchConfig {
+            grid: (0, 3),
+            block: (16, 16),
+        };
+        for parallelism in [1, 4] {
+            let out = probe(|_| 1, c, parallelism);
+            assert!(out.keys.is_empty());
+            assert!(out.values.is_empty());
+            assert!(out.samples.is_empty());
+            assert_eq!(out.stats, LaunchStats::default());
+        }
     }
 
     #[test]
@@ -510,7 +386,7 @@ mod tests {
             grid: (1, 1),
             block: (16, 16),
         };
-        let out = launch(&ProbeKernel, c, 1);
+        let out = probe(|g| g.0 as u64, c, 1);
         assert_eq!(out.stats.threads, 256);
         assert_eq!(out.stats.blocks, 1);
         assert_eq!(out.stats.warps, 8);
@@ -521,21 +397,12 @@ mod tests {
     #[test]
     fn divergence_inflates_simt_samples() {
         // One thread per warp does 100 samples, the rest do none.
-        struct Spike;
-        impl Kernel for Spike {
-            type Out = u8;
-            fn thread(&self, ctx: &mut ThreadCtx) -> u8 {
-                if ctx.global.0.is_multiple_of(32) {
-                    ctx.tally(100);
-                }
-                0
-            }
-        }
+        let spike = |g: (u32, u32)| if g.0.is_multiple_of(32) { 100 } else { 0 };
         let c = LaunchConfig {
             grid: (2, 1),
             block: (32, 1),
         };
-        let out = launch(&Spike, c, 1);
+        let out = probe(spike, c, 1);
         assert_eq!(out.stats.total_samples, 200);
         assert_eq!(out.stats.simt_samples, 2 * 100 * 32);
         assert!((out.stats.divergence_factor() - 32.0).abs() < 1e-9);
@@ -543,139 +410,32 @@ mod tests {
 
     #[test]
     fn uniform_work_has_no_divergence_penalty() {
-        struct Uniform;
-        impl Kernel for Uniform {
-            type Out = u8;
-            fn thread(&self, ctx: &mut ThreadCtx) -> u8 {
-                ctx.tally(7);
-                0
-            }
-        }
-        let out = launch(
-            &Uniform,
-            LaunchConfig {
-                grid: (4, 4),
-                block: (8, 4),
-            },
-            2,
-        );
+        let c = LaunchConfig {
+            grid: (4, 4),
+            block: (8, 4),
+        };
+        let out = probe(|_| 7, c, 2);
         assert_eq!(out.stats.divergence_factor(), 1.0);
     }
 
     #[test]
     fn partial_warp_charged_fully() {
-        struct One;
-        impl Kernel for One {
-            type Out = u8;
-            fn thread(&self, ctx: &mut ThreadCtx) -> u8 {
-                ctx.tally(1);
-                0
-            }
-        }
         // 8-thread block = one partial warp, still charged 32 lanes.
-        let out = launch(
-            &One,
-            LaunchConfig {
-                grid: (1, 1),
-                block: (8, 1),
-            },
-            1,
-        );
+        let c = LaunchConfig {
+            grid: (1, 1),
+            block: (8, 1),
+        };
+        let out = probe(|_| 1, c, 1);
         assert_eq!(out.stats.total_samples, 8);
         assert_eq!(out.stats.simt_samples, 32);
-    }
-
-    /// A scalar-only kernel (no BlockKernel impl anywhere) must keep working
-    /// through `launch` AND run bit-identically under `launch_blocks` via the
-    /// `Scalar` compat adapter.
-    #[test]
-    fn scalar_only_kernel_launches_via_compat_adapter() {
-        struct Legacy;
-        impl Kernel for Legacy {
-            type Out = (u32, u64);
-            fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u64) {
-                // Uneven tallies so warp accounting is exercised.
-                ctx.tally((ctx.global.0 as u64 * 7 + ctx.global.1 as u64) % 13);
-                (
-                    ctx.global.1 * 1000 + ctx.global.0,
-                    (ctx.block.0 + ctx.block.1) as u64,
-                )
-            }
-        }
-        let c = LaunchConfig::cover(40, 17);
-        let scalar = launch(&Legacy, c, 1);
-        let batched = launch_blocks(&Scalar(Legacy), c, 1);
-        assert_eq!(batched.keys.len(), scalar.outputs.len());
-        for (i, (k, v)) in scalar.outputs.iter().enumerate() {
-            assert_eq!(batched.keys[i], *k);
-            assert_eq!(batched.values[i], *v);
-        }
-        assert_eq!(batched.stats, scalar.stats);
-    }
-
-    #[test]
-    fn launch_blocks_serial_and_parallel_agree() {
-        let c = LaunchConfig::cover(64, 48);
-        let a = launch_blocks(&Scalar(ProbeKernel), c, 1);
-        let b = launch_blocks(&Scalar(ProbeKernel), c, 4);
-        assert_eq!(a.keys, b.keys);
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn direct_block_kernel_matches_scalar_equivalent() {
-        /// Block-wise rewrite of `ProbeKernel`: same emissions, written SoA.
-        struct BlockProbe;
-        impl BlockKernel for BlockProbe {
-            type Key = u32;
-            type Value = u32;
-            fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
-                for ty in 0..ctx.dim.1 {
-                    for tx in 0..ctx.dim.0 {
-                        let g = ctx.global(tx, ty);
-                        let i = ctx.index(tx, ty);
-                        out.keys[i] = g.0;
-                        out.values[i] = g.1;
-                        out.samples[i] = g.0 as u64;
-                    }
-                }
-            }
-        }
-        let c = LaunchConfig::cover(100, 33);
-        let reference = launch(&ProbeKernel, c, 1);
-        for parallelism in [1, 3] {
-            let got = launch_blocks(&BlockProbe, c, parallelism);
-            for (i, (k, v)) in reference.outputs.iter().enumerate() {
-                assert_eq!((got.keys[i], got.values[i]), (*k, *v));
-            }
-            assert_eq!(got.stats, reference.stats);
-        }
-    }
-
-    #[test]
-    fn batched_divergence_accounting_matches_scalar() {
-        // Spike pattern through the compat adapter: SIMT charging must be
-        // identical to the scalar path (warp max over 32 thread-order lanes,
-        // partial trailing warp charged fully).
-        struct Spiky;
-        impl Kernel for Spiky {
-            type Out = (u32, u8);
-            fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u8) {
-                if ctx.global.0.is_multiple_of(32) {
-                    ctx.tally(100);
-                }
-                (ctx.global.0, 0)
-            }
-        }
+        // Warps never span blocks: two 40-thread blocks are one full and one
+        // partial warp each.
         let c = LaunchConfig {
             grid: (2, 1),
-            block: (40, 1), // 40 threads: one full warp + one partial
+            block: (40, 1),
         };
-        let scalar = launch(&Spiky, c, 1);
-        let batched = launch_blocks(&Scalar(Spiky), c, 1);
-        assert_eq!(batched.stats, scalar.stats);
-        assert_eq!(batched.stats.warps, 4);
+        let out = probe(|_| 1, c, 2);
+        assert_eq!(out.stats.warps, 4);
+        assert_eq!(out.stats.simt_samples, 4 * 32);
     }
 }

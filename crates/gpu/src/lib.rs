@@ -2,11 +2,9 @@
 //!
 //! A CUDA-class device model for the reproduction: real computation, modeled
 //! time. Kernels execute for real on host threads with CUDA grid/block/thread
-//! index semantics, in one of two execution models: scalar per-thread
-//! dispatch ([`kernel::Kernel`] + [`kernel::launch`]) or batched per-block
-//! execution into structure-of-arrays buffers ([`kernel::BlockKernel`] +
-//! [`kernel::launch_blocks`], the hot path — scalar kernels ride along via
-//! the [`kernel::Scalar`] adapter). [`texture::Texture3D`] reproduces `tex3D`
+//! index semantics through one launch engine: per-block execution into
+//! structure-of-arrays buffers ([`kernel::BlockKernel`] +
+//! [`kernel::launch_blocks`]). [`texture::Texture3D`] reproduces `tex3D`
 //! trilinear filtering with clamp addressing (with [`texture::Sampler3D`] as
 //! the resolved inner-loop view); [`vram::VramAllocator`] enforces the
 //! paper's "map task must fit in GPU memory" restriction; and
@@ -20,8 +18,8 @@ pub mod vram;
 
 pub use device::{Device, DeviceProps, KernelCostModel, KernelTimingMode};
 pub use kernel::{
-    launch, launch_blocks, BlockCtx, BlockKernel, BlockOut, BlockOutput, Kernel, LaunchConfig,
-    LaunchOutput, LaunchStats, Scalar, ThreadCtx, WARP_SIZE,
+    launch_blocks, BlockCtx, BlockKernel, BlockOut, BlockOutput, LaunchConfig, LaunchStats,
+    WARP_SIZE,
 };
 pub use texture::{Sampler1D, Sampler3D, Texture1D, Texture3D};
 pub use vram::{AllocId, OutOfMemory, VramAllocator};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mgpu_gpu::{launch, Kernel, LaunchConfig, Texture3D, ThreadCtx};
+use mgpu_gpu::{launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig, Texture3D};
 
 fn arb_texture() -> impl Strategy<Value = Texture3D> {
     (2usize..6, 2usize..6, 2usize..6).prop_flat_map(|(x, y, z)| {
@@ -66,18 +66,27 @@ proptest! {
         gx in 1u32..5, gy in 1u32..5, bx in 1u32..9, by in 1u32..9,
         workers in 1usize..5,
     ) {
+        /// Each lane records the block and thread coordinates it ran as.
         struct Ident;
-        impl Kernel for Ident {
-            type Out = (u32, u32, u32, u32);
-            fn thread(&self, ctx: &mut ThreadCtx) -> Self::Out {
-                (ctx.block.0, ctx.block.1, ctx.thread.0, ctx.thread.1)
+        impl BlockKernel for Ident {
+            type Key = (u32, u32);
+            type Value = (u32, u32);
+            fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, (u32, u32), (u32, u32)>) {
+                for ty in 0..ctx.dim.1 {
+                    for tx in 0..ctx.dim.0 {
+                        let i = ctx.index(tx, ty);
+                        out.keys[i] = ctx.block;
+                        out.values[i] = (tx, ty);
+                    }
+                }
             }
         }
         let config = LaunchConfig { grid: (gx, gy), block: (bx, by) };
-        let out = launch(&Ident, config, workers);
-        prop_assert_eq!(out.outputs.len(), config.total_threads());
+        let out = launch_blocks(&Ident, config, workers);
+        prop_assert_eq!(out.keys.len(), config.total_threads());
+        prop_assert_eq!(out.values.len(), config.total_threads());
         let tpb = config.threads_per_block();
-        for (i, &(cbx, cby, ctx_, cty)) in out.outputs.iter().enumerate() {
+        for (i, (&(cbx, cby), &(ctx_, cty))) in out.keys.iter().zip(&out.values).enumerate() {
             let block_id = i / tpb;
             let tid = i % tpb;
             prop_assert_eq!(cbx, (block_id as u32) % gx);
@@ -91,26 +100,22 @@ proptest! {
     fn warp_charging_bounds_total_samples(
         tallies in prop::collection::vec(0u64..100, 32..96),
     ) {
-        use std::sync::Mutex;
-        struct Tally {
-            values: Mutex<Vec<u64>>,
-        }
-        impl Kernel for Tally {
-            type Out = u8;
-            fn thread(&self, ctx: &mut ThreadCtx) -> u8 {
-                let mut v = self.values.lock().unwrap();
-                let n = v.pop().unwrap_or(0);
-                ctx.tally(n);
-                0
+        /// One block whose lanes tally the given values, in lane order.
+        struct Tally(Vec<u64>);
+        impl BlockKernel for Tally {
+            type Key = u8;
+            type Value = u8;
+            fn run_block(&self, _: &BlockCtx, out: BlockOut<'_, u8, u8>) {
+                out.samples.copy_from_slice(&self.0);
             }
         }
         let n = tallies.len() as u32;
-        let kernel = Tally { values: Mutex::new(tallies.clone()) };
-        let out = launch(
-            &kernel,
+        let out = launch_blocks(
+            &Tally(tallies.clone()),
             LaunchConfig { grid: (1, 1), block: (n, 1) },
             1,
         );
+        prop_assert_eq!(&out.samples, &tallies);
         let total: u64 = tallies.iter().sum();
         prop_assert_eq!(out.stats.total_samples, total);
         // SIMT charge is at least the total and at most 32× it.

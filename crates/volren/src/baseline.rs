@@ -1,8 +1,8 @@
 //! Baselines: an independent reference ray caster (correctness oracle) and a
 //! ParaView-class CPU-cluster model (the paper's footnote-1 comparison).
 
-use mgpu_cluster::ClusterSpec;
-use mgpu_gpu::{launch, LaunchConfig, LaunchStats, Texture3D};
+use mgpu_gpu::Texture3D;
+use mgpu_mapreduce::SENTINEL_KEY;
 use mgpu_sim::SimDuration;
 use mgpu_voldata::Volume;
 
@@ -13,11 +13,12 @@ use crate::image::Image;
 use crate::kernel::RayCastKernel;
 use crate::math::vec3;
 
-/// Render the whole volume as a single unbricked texture on one simulated
-/// GPU — the correctness oracle every multi-GPU configuration must match.
+/// Render the whole volume as a single unbricked texture, pixel by pixel
+/// through [`RayCastKernel::reference_pixel`] — the correctness oracle every
+/// multi-GPU configuration must match.
 ///
 /// Materializes the entire volume (plus a ghost shell for identical border
-/// filtering), so use at test scales.
+/// filtering) and runs serially, so use at test scales.
 pub fn reference_render(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> Image {
     let d = volume.dims();
     let ghost = 1i64;
@@ -39,50 +40,17 @@ pub fn reference_render(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> I
         step: cfg.step_voxels,
         early_term: cfg.early_term,
     };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let out = launch(&kernel, LaunchConfig::cover(width, height), parallelism);
-
     let mut img = Image::filled(width, height, composite_sorted(&[], scene.background));
-    for (key, frag) in out.outputs {
-        if key == mgpu_mapreduce::SENTINEL_KEY {
-            continue;
+    for py in 0..height {
+        for px in 0..width {
+            let (key, frag, _) = kernel.reference_pixel((px, py));
+            if key != SENTINEL_KEY {
+                let color = composite_sorted(std::slice::from_ref(&frag), scene.background);
+                img.set_linear(key, color);
+            }
         }
-        let color = composite_sorted(std::slice::from_ref(&frag), scene.background);
-        img.set_linear(key, color);
     }
     img
-}
-
-/// Kernel statistics of a reference render (for calibration reporting).
-pub fn reference_stats(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> LaunchStats {
-    let d = volume.dims();
-    let store_dims = [d[0] as usize + 2, d[1] as usize + 2, d[2] as usize + 2];
-    let voxels = volume.materialize_clamped([-1, -1, -1], store_dims);
-    let texture = Texture3D::new(store_dims, voxels);
-    let lut = scene.transfer.bake();
-    let kernel = RayCastKernel {
-        camera: &scene.camera,
-        lut: &lut,
-        texture: &texture,
-        store_origin: vec3(-1.0, -1.0, -1.0),
-        core_lo: vec3(0.0, 0.0, 0.0),
-        core_hi: vec3(d[0] as f32, d[1] as f32, d[2] as f32),
-        image: cfg.image,
-        offset: (0, 0),
-        step: cfg.step_voxels,
-        early_term: cfg.early_term,
-    };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    launch(
-        &kernel,
-        LaunchConfig::cover(cfg.image.0, cfg.image.1),
-        parallelism,
-    )
-    .stats
 }
 
 /// The paper's footnote-1 comparator: "Moreland et al. show that ParaView
@@ -129,9 +97,6 @@ pub fn vps(voxels: u64, runtime: SimDuration) -> f64 {
 pub fn beats_paraview_2x(voxels: u64, runtime: SimDuration) -> bool {
     vps(voxels, runtime) > 2.0 * ParaViewClassBaseline::moreland_cray_xt3().total_vps
 }
-
-/// Unused import guard (ClusterSpec appears in doc examples).
-const _: fn(&ClusterSpec) -> u32 = |s| s.gpus;
 
 #[cfg(test)]
 mod tests {

@@ -14,20 +14,18 @@
 //! * half-open segment ownership (`t ∈ [t_enter, t_exit)`) means each sample
 //!   belongs to exactly one brick along the ray.
 //!
-//! The kernel implements **both** execution APIs of `mgpu-gpu`:
-//! [`Kernel`] is the retained scalar reference path (one virtual call per
-//! pixel, used by the equivalence oracles), and [`BlockKernel`] is the
-//! production path — per block it resolves the texture/LUT samplers once,
-//! hoists the camera-eye slab invariants ([`SlabTest`]) and the per-row
-//! image-plane coordinate, marches with the interior fast-path samplers,
-//! classifies alpha before color, tallies once per ray, and interleaves
-//! each row's rays two at a time to hide the sample chain's latency. Every
-//! value a ray computes is produced by the same float operations in the
-//! same order as the scalar path, so the `(Key, Fragment)` output and
-//! launch statistics are bit-identical (pinned by
-//! `tests/batched_equivalence.rs`).
+//! The production path is the [`BlockKernel`] impl: per block it resolves
+//! the texture/LUT samplers once, hoists the camera-eye slab invariants
+//! ([`SlabTest`]) and the per-row image-plane coordinate, marches with the
+//! interior fast-path samplers, classifies alpha before color, tallies once
+//! per ray, and interleaves each row's rays two at a time to hide the sample
+//! chain's latency. [`RayCastKernel::reference_pixel`] is the oracle: one
+//! pixel at a time through [`Texture3D::sample`]/[`Texture1D::sample`].
+//! Every value a ray computes is produced by the same float operations in
+//! the same order on both, so the `(Key, Fragment)` output and per-lane
+//! sample counts are bit-identical (pinned by `tests/batched_equivalence.rs`).
 
-use mgpu_gpu::{BlockCtx, BlockKernel, BlockOut, Kernel, Texture1D, Texture3D, ThreadCtx};
+use mgpu_gpu::{BlockCtx, BlockKernel, BlockOut, Texture1D, Texture3D};
 use mgpu_mapreduce::{Key, SENTINEL_KEY};
 
 use crate::camera::Camera;
@@ -65,22 +63,22 @@ impl RayCastKernel<'_> {
     fn needs_correction(&self) -> bool {
         (self.step - 1.0).abs() > 1e-6
     }
-}
 
-impl Kernel for RayCastKernel<'_> {
-    type Out = (Key, Fragment);
-
-    fn thread(&self, ctx: &mut ThreadCtx) -> (Key, Fragment) {
-        let px = self.offset.0 + ctx.global.0;
-        let py = self.offset.1 + ctx.global.1;
+    /// The reference ray caster: what the launch thread at `global`
+    /// (launch-global coordinates, before `offset`) emits, plus its sample
+    /// tally. One pixel at a time through the plain texture lookups — the
+    /// oracle the [`BlockKernel`] impl must match bit for bit.
+    pub fn reference_pixel(&self, global: (u32, u32)) -> (Key, Fragment, u64) {
+        let px = self.offset.0 + global.0;
+        let py = self.offset.1 + global.1;
         // Padding threads outside the image emit placeholders.
         if px >= self.image.0 || py >= self.image.1 {
-            return (SENTINEL_KEY, Fragment::default());
+            return (SENTINEL_KEY, Fragment::default(), 0);
         }
 
         let ray = self.camera.ray(px, py, self.image.0, self.image.1);
         let Some((t0, t1)) = ray.intersect_aabb(self.core_lo, self.core_hi) else {
-            return (SENTINEL_KEY, Fragment::default());
+            return (SENTINEL_KEY, Fragment::default(), 0);
         };
 
         // First global sample index with t_k = (k + 0.5)·step ≥ t0.
@@ -113,13 +111,10 @@ impl Kernel for RayCastKernel<'_> {
             }
             k += 1;
         }
-        // One tally per ray (not per sample): same LaunchStats totals, far
-        // fewer context touches on the hot path.
-        ctx.tally(samples);
 
         if acc[3] <= EMPTY_ALPHA {
             // "Ray fragments with no contributions are discarded."
-            return (SENTINEL_KEY, Fragment::default());
+            return (SENTINEL_KEY, Fragment::default(), samples);
         }
         let key = py * self.image.0 + px;
         (
@@ -129,12 +124,13 @@ impl Kernel for RayCastKernel<'_> {
                 depth: t0,
                 exit: t1,
             },
+            samples,
         )
     }
 }
 
-/// The batched production path: same rays, same samples, same float ops as
-/// the scalar impl above — restructured so per-launch state (samplers, slab
+/// The production path: same rays, same samples, same float ops as
+/// [`RayCastKernel::reference_pixel`] — restructured so per-launch state (samplers, slab
 /// invariants, opacity-correction flag) is resolved once per block and the
 /// per-row image-plane coordinate once per row. Rays are marched **two at a
 /// time**: a single march is one serial dependency chain (position → fetch →
@@ -241,7 +237,7 @@ struct March {
     live: bool,
 }
 
-/// Per-launch march invariants: the resolved samplers plus the scalar config
+/// Per-launch march invariants: the resolved samplers plus the plain config
 /// the inner loop reads every sample.
 struct MarchCtx<'a> {
     smp: mgpu_gpu::Sampler3D<'a>,
@@ -256,8 +252,8 @@ struct MarchCtx<'a> {
 
 impl MarchCtx<'_> {
     /// Take one sample at parametric distance `t` (caller has checked
-    /// `t < t1`): exactly the per-sample float ops of the scalar
-    /// [`Kernel::thread`] path, in the same order. The color lerps only run
+    /// `t < t1`): exactly the per-sample float ops of
+    /// [`RayCastKernel::reference_pixel`], in the same order. The color lerps only run
     /// for samples that contribute — identical expressions when they do.
     #[inline(always)]
     fn sample_step(&self, m: &mut March, t: f32) {
@@ -322,7 +318,7 @@ mod tests {
     use crate::camera::Scene;
     use crate::math::vec3;
     use crate::transfer::TransferFunction;
-    use mgpu_gpu::{launch, LaunchConfig};
+    use mgpu_gpu::{launch_blocks, LaunchConfig};
     use mgpu_voldata::Dataset;
 
     /// A uniform 8³ texture (with ghost padding) of constant density.
@@ -336,8 +332,8 @@ mod tests {
     }
 
     fn run_kernel(kernel: &RayCastKernel<'_>, w: u32, h: u32) -> Vec<(Key, Fragment)> {
-        let out = launch(kernel, LaunchConfig::cover(w, h), 1);
-        out.outputs
+        let out = launch_blocks(kernel, LaunchConfig::cover(w, h), 1);
+        out.keys.into_iter().zip(out.values).collect()
     }
 
     #[test]
@@ -419,12 +415,12 @@ mod tests {
             step: 1.0,
             early_term: 1.1,
         };
-        let no_et = launch(&base, LaunchConfig::cover(32, 32), 1).stats;
+        let no_et = launch_blocks(&base, LaunchConfig::cover(32, 32), 1).stats;
         let with_et = RayCastKernel {
             early_term: 0.95,
             ..base
         };
-        let et = launch(&with_et, LaunchConfig::cover(32, 32), 1).stats;
+        let et = launch_blocks(&with_et, LaunchConfig::cover(32, 32), 1).stats;
         assert!(
             et.total_samples < no_et.total_samples,
             "ET must cut samples: {} vs {}",

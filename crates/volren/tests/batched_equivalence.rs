@@ -1,19 +1,22 @@
-//! Property test pinning the batched [`BlockKernel`] ray caster to the
-//! retained scalar [`Kernel`] path: for random scenes, step sizes,
+//! Property test pinning the `BlockKernel` ray caster to its per-pixel
+//! oracle, `RayCastKernel::reference_pixel`: for random scenes, step sizes,
 //! early-termination thresholds, footprint offsets and launch shapes
-//! (including padding threads past the image edge), both paths must produce
-//! bit-identical `(Key, Fragment)` columns and identical launch statistics.
+//! (including padding threads past the image edge), `launch_blocks` must
+//! produce, at every lane, the oracle's key, bit-identical fragment and
+//! sample count, and a `total_samples` equal to the oracle's sum.
 //!
 //! This is the contract the module docs of `mgpu_volren::kernel` promise —
-//! the batched path hoists invariants and uses the borrowing samplers, but
+//! the block path hoists invariants and uses the borrowing samplers, but
 //! executes the same float operations in the same order.
 
 use proptest::prelude::*;
 
-use mgpu_gpu::{launch, launch_blocks, LaunchConfig, Texture3D};
+use mgpu_gpu::{launch_blocks, BlockCtx, LaunchConfig, Texture3D};
+use mgpu_mapreduce::Key;
 use mgpu_mapreduce::SENTINEL_KEY;
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
+use mgpu_volren::fragment::Fragment;
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
 use mgpu_volren::TransferFunction;
@@ -33,6 +36,62 @@ fn noise_texture(dims: [usize; 3], seed: u64) -> Texture3D {
         })
         .collect();
     Texture3D::new(dims, data)
+}
+
+/// The oracle's `(key, fragment, samples)` for every lane of `config`, in
+/// `launch_blocks` order: block-major, then row-major within the block.
+fn reference_lanes(kernel: &RayCastKernel<'_>, config: LaunchConfig) -> Vec<(Key, Fragment, u64)> {
+    let mut lanes = Vec::with_capacity(config.total_threads());
+    for by in 0..config.grid.1 {
+        for bx in 0..config.grid.0 {
+            let ctx = BlockCtx {
+                block: (bx, by),
+                dim: config.block,
+            };
+            for ty in 0..ctx.dim.1 {
+                for tx in 0..ctx.dim.0 {
+                    lanes.push(kernel.reference_pixel(ctx.global(tx, ty)));
+                }
+            }
+        }
+    }
+    lanes
+}
+
+/// Compare a launch against the oracle lane by lane (panicking on the first
+/// mismatch); returns the hit count.
+fn check_against_reference(
+    kernel: &RayCastKernel<'_>,
+    config: LaunchConfig,
+    parallelism: usize,
+) -> usize {
+    let reference = reference_lanes(kernel, config);
+    let out = launch_blocks(kernel, config, parallelism);
+    assert_eq!(reference.len(), out.keys.len());
+    let mut hits = 0usize;
+    for (i, (k, f, n)) in reference.iter().enumerate() {
+        assert_eq!(*k, out.keys[i], "key mismatch at lane {}", i);
+        assert_eq!(*n, out.samples[i], "samples mismatch at lane {}", i);
+        if *k != SENTINEL_KEY {
+            hits += 1;
+            let bf = &out.values[i];
+            for c in 0..4 {
+                assert_eq!(
+                    f.color[c].to_bits(),
+                    bf.color[c].to_bits(),
+                    "color[{}] mismatch at lane {}",
+                    c,
+                    i
+                );
+            }
+            assert_eq!(f.depth.to_bits(), bf.depth.to_bits());
+            assert_eq!(f.exit.to_bits(), bf.exit.to_bits());
+        }
+    }
+    // The DES cost model is driven by these stats, so they may not drift.
+    let total: u64 = reference.iter().map(|l| l.2).sum();
+    assert_eq!(out.stats.total_samples, total);
+    hits
 }
 
 /// Deterministic anchor: a full-image launch where the orbit camera frames
@@ -56,18 +115,7 @@ fn full_image_launch_agrees_and_actually_hits() {
         step: 0.7,
         early_term: 0.97,
     };
-    let config = LaunchConfig::cover(96, 96);
-    let scalar = launch(&kernel, config, 1);
-    let batched = launch_blocks(&kernel, config, 2);
-    assert_eq!(scalar.stats, batched.stats);
-    let mut hits = 0usize;
-    for (i, (k, f)) in scalar.outputs.iter().enumerate() {
-        assert_eq!(*k, batched.keys[i]);
-        if *k != SENTINEL_KEY {
-            hits += 1;
-            assert_eq!(f, &batched.values[i]);
-        }
-    }
+    let hits = check_against_reference(&kernel, LaunchConfig::cover(96, 96), 2);
     assert!(hits > 500, "only {hits} hits on a framed volume");
 }
 
@@ -115,33 +163,11 @@ proptest! {
             early_term,
         };
 
-        let config = LaunchConfig::cover(launch_w, launch_h);
-        let scalar = launch(&kernel, config, 1);
-        let batched = launch_blocks(&kernel, config, parallelism);
-
-        prop_assert_eq!(scalar.outputs.len(), batched.keys.len());
-        let mut hits = 0usize;
-        for (i, (k, f)) in scalar.outputs.iter().enumerate() {
-            prop_assert_eq!(*k, batched.keys[i], "key mismatch at lane {}", i);
-            if *k != SENTINEL_KEY {
-                hits += 1;
-                let bf = &batched.values[i];
-                for c in 0..4 {
-                    prop_assert_eq!(
-                        f.color[c].to_bits(),
-                        bf.color[c].to_bits(),
-                        "color[{}] mismatch at lane {}",
-                        c,
-                        i
-                    );
-                }
-                prop_assert_eq!(f.depth.to_bits(), bf.depth.to_bits());
-                prop_assert_eq!(f.exit.to_bits(), bf.exit.to_bits());
-            }
-        }
-        // Warp divergence accounting must agree too: the DES cost model is
-        // driven by these stats, so the batched path may not drift.
-        prop_assert_eq!(scalar.stats, batched.stats);
+        let hits = check_against_reference(
+            &kernel,
+            LaunchConfig::cover(launch_w, launch_h),
+            parallelism,
+        );
         // Sanity: at least some cases in the suite have real hits (the orbit
         // camera frames the volume, so a launch at the image center does).
         if kernel.offset == (0, 0) && launch_w >= image_w && launch_h >= image_h {
