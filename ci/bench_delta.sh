@@ -1,66 +1,59 @@
 #!/usr/bin/env bash
-# Gate a smoke-bench JSON artifact against the previous run's: print the
-# frames/sec delta and FAIL when throughput regressed past the tolerance
-# band, e.g.:
+# Gate repeated smoke-bench runs against the committed baseline: print the
+# baseline frames/sec, the median and min–max of the runs and the delta of
+# the median, and FAIL when the median dropped more than 25%, e.g.:
 #
-#   bench serve: frames/sec 118.40 -> 124.91 (+5.5%)
-#   bench net: frames/sec 130.00 -> 70.00 (-46.2%)  REGRESSION (tolerance -25%)
+#   bench serve: frames/sec baseline 583.82, median 595.61 (min–max 541.15–653.75) over 5 runs (+2.0%)
+#   bench net: frames/sec baseline 946.66, median 630.59 (min–max 536.1–764.72) over 5 runs (-33.4%)  REGRESSION (tolerance -25%)
 #
-# Usage: ci/bench_delta.sh <previous.json> <current.json> <label> [tolerance_pct]
+# Usage: ci/bench_delta.sh <baseline.json> <label> <run.json>...
 #
-#   tolerance_pct  how far frames/sec may drop before the gate fails,
-#                  as a positive percentage (default 25 — wide enough to
-#                  absorb shared-runner jitter on smoke benches, tight
-#                  enough to catch step-function regressions).
-#
-# Escape hatches (both exit 0 with the delta still printed):
-#   * BENCH_SKIP=1 in the environment, set by CI when the head commit
-#     message contains [bench-skip] — for commits that knowingly trade
-#     throughput (say, correctness fixes) and say so.
-#   * a missing previous artifact (first run, expired retention): there is
-#     nothing sound to gate against.
+# The baseline is the BENCH_<label>.json committed in git, copied aside
+# before the smoke runs overwrite it. A change that accepts a throughput
+# change re-blesses that file in the same commit. A baseline compares only
+# with runs on the host class it was blessed on. A missing or unreadable
+# baseline or run file fails the gate.
 set -euo pipefail
 
-prev="${1:?previous json}"
-curr="${2:?current json}"
-label="${3:?label}"
-tolerance="${4:-25}"
+baseline="${1:?baseline json}"
+label="${2:?label}"
+shift 2
+if [ "$#" -eq 0 ]; then
+    echo "bench $label: FAIL — no run files given"
+    exit 1
+fi
 
 fps() {
-    # The artifacts are flat one-field-per-line JSON written by
+    # The files are flat one-field-per-line JSON written by
     # mgpu_bench::JsonObject; no jq in the base image, sed suffices.
     sed -n 's/^[[:space:]]*"frames_per_sec":[[:space:]]*\([0-9.][0-9.]*\).*$/\1/p' "$1" | head -1
 }
 
-if [ ! -f "$curr" ]; then
-    echo "bench $label: FAIL — no current artifact ($curr missing)"
-    exit 1
-fi
-now="$(fps "$curr")"
-if [ -z "$now" ]; then
-    echo "bench $label: FAIL — current artifact has no frames_per_sec field"
-    exit 1
-fi
-if [ ! -f "$prev" ]; then
-    echo "bench $label: frames/sec $now (no previous artifact to gate against)"
-    exit 0
-fi
-before="$(fps "$prev")"
-
-skip="${BENCH_SKIP:-0}"
-awk -v b="$before" -v n="$now" -v l="$label" -v tol="$tolerance" -v skip="$skip" 'BEGIN {
-    if (b + 0 == 0) {
-        printf "bench %s: frames/sec %s (previous artifact unreadable)\n", l, n
-        exit 0
-    }
-    delta = (n - b) / b * 100
-    if (delta < -tol) {
-        if (skip + 0 == 1) {
-            printf "bench %s: frames/sec %.2f -> %.2f (%+.1f%%)  regression waived by [bench-skip]\n", l, b, n, delta
-            exit 0
-        }
-        printf "bench %s: frames/sec %.2f -> %.2f (%+.1f%%)  REGRESSION (tolerance -%s%%)\n", l, b, n, delta, tol
+for f in "$baseline" "$@"; do
+    if [ ! -f "$f" ]; then
+        echo "bench $label: FAIL — $f missing"
         exit 1
-    }
-    printf "bench %s: frames/sec %.2f -> %.2f (%+.1f%%)\n", l, b, n, delta
-}'
+    fi
+    if [ -z "$(fps "$f")" ]; then
+        echo "bench $label: FAIL — $f has no frames_per_sec field"
+        exit 1
+    fi
+done
+
+before="$(fps "$baseline")"
+for f in "$@"; do fps "$f"; done | sort -g | awk -v b="$before" -v l="$label" '
+    { v[NR] = $1 }
+    END {
+        median = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+        line = sprintf("bench %s: frames/sec baseline %.5g, median %.5g (min–max %.5g–%.5g) over %d runs", l, b, median, v[1], v[NR], NR)
+        if (b + 0 <= 0) {
+            printf "%s  FAIL — baseline frames/sec is not positive\n", line
+            exit 1
+        }
+        delta = (median - b) / b * 100
+        if (delta < -25) {
+            printf "%s (%+.1f%%)  REGRESSION (tolerance -25%%)\n", line, delta
+            exit 1
+        }
+        printf "%s (%+.1f%%)\n", line, delta
+    }'

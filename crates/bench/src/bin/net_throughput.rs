@@ -18,7 +18,8 @@
 //!
 //! `--smoke` shrinks the sweep for CI and writes `BENCH_net.json`
 //! (frames/sec, cache hit rate, p50 queue wait, p50/p90 round trip, pooled
-//! frames/sec) for the per-PR perf-trend artifact.
+//! frames/sec). `ci/bench_delta.sh` gates the median `frames_per_sec` of
+//! five smoke runs against the committed `BENCH_net.json`.
 //!
 //!     cargo run --release -p mgpu-bench --bin net_throughput -- [--smoke] [--rebalance] [--shards N]
 //!
@@ -141,8 +142,8 @@ fn run_point(point: &SweepPoint, shards: usize, volume_size: u32, image: u32) ->
 }
 
 /// Part 2: the same many-volume workload through a NodePool over 1..N
-/// whole render nodes. Returns the widest point's frames/sec for the trend
-/// artifact.
+/// whole render nodes. Returns the widest point's frames/sec for
+/// `BENCH_net.json`.
 fn node_sweep(
     max_nodes: usize,
     shards: usize,
@@ -276,7 +277,7 @@ fn knee_point(
     (fps, p50, p99)
 }
 
-/// What the `--rebalance` pass measured, for the trend artifact.
+/// What the `--rebalance` pass measured, for `BENCH_net.json`.
 struct RebalanceSmoke {
     imbalance: f64,
     moves: u64,
@@ -443,7 +444,7 @@ fn main() {
             result.cache_hit_rate > 0.0,
             "repeated views must produce cache hits over the wire"
         );
-        // The trend artifact tracks the widest smoke point.
+        // `BENCH_net.json` records the widest smoke point.
         if smoke && (clients, connections) >= smoke_point {
             smoke_point = (clients, connections);
             smoke_summary = Some(result);

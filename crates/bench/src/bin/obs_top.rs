@@ -8,8 +8,8 @@
 //!     cargo run --release -p mgpu-bench --bin obs_top [-- --smoke] [--json] [--ticks N]
 //!
 //! `--smoke` (or `--json`) also dumps `BENCH_obs.json` with per-stage
-//! p50/p99 for queue wait, brick staging, kernel and composite — the
-//! bench-trend artifact CI tracks.
+//! p50/p99 for queue wait, brick staging, kernel and composite. CI uploads
+//! it with the other smoke outputs; no gate reads it.
 
 use std::sync::Arc;
 use std::time::Duration;

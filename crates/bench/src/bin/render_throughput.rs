@@ -5,9 +5,9 @@
 //!
 //!     cargo run --release -p mgpu-bench --bin render_throughput [-- --smoke]
 //!
-//! Smoke mode writes `BENCH_volren.json` — the CI trend artifact whose
-//! `frames_per_sec` field (batched kernel frames over the full image) is
-//! gated by `ci/bench_delta.sh`. The run also asserts that every lane's key,
+//! Smoke mode writes `BENCH_volren.json`. `ci/bench_delta.sh` gates the
+//! median `frames_per_sec` (batched kernel frames over the full image) of
+//! five smoke runs against the committed copy. The run also asserts that every lane's key,
 //! fragment bits and sample count match the reference, so the perf gate
 //! doubles as an equivalence check at scale. `pixels_per_sec_scalar` and
 //! `speedup_vs_scalar` are timed on the reference loop.

@@ -283,8 +283,8 @@ fn main() {
             no_plans.brick_stagings
         );
         if smoke {
-            // The trend artifact tracks the full-featured mode at the
-            // widest client count.
+            // `BENCH_serve.json` records the full-featured mode at the
+            // widest client count; its `frames_per_sec` is the gated one.
             smoke_summary = Some((clients, full));
         }
     }

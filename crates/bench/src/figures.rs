@@ -1,5 +1,5 @@
-//! Entry points shared by the `cargo bench` targets and the standalone
-//! binaries: each regenerates one of the paper's figures / analyses.
+//! Entry points of the figure binaries under `src/bin/`: each regenerates
+//! one of the paper's figures / analyses.
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Dataset;

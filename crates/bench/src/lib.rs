@@ -4,12 +4,13 @@
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `fig3` / bench `fig3_breakdown` | Figure 3: phase breakdown over volumes × GPUs |
-//! | `fig4` / bench `fig4_throughput` | Figure 4: FPS and VPS curves |
-//! | `micro` / bench `micro_transfers` | §3 disk / H2D / D2H anchors |
-//! | `bottlenecks` / bench `bottleneck_analysis` | §6.3 comm-vs-compute split |
+//! | `fig3` | Figure 3: phase breakdown over volumes × GPUs |
+//! | `fig4` | Figure 4: FPS and VPS curves |
+//! | `micro` | §3 disk / H2D / D2H anchors |
+//! | `bottlenecks` | §6.3 comm-vs-compute split |
 //! | `compare_paraview` | footnote 1 (ParaView 346 M VPS) |
 //! | `ablate_*`, `oocore` | §3.1/§6 design-decision ablations |
+//! | `micro_ops` | mean times of the hot primitives (sort, partition, sampling, compositing, DES replay) |
 //!
 //! Scale: set `MGPU_BENCH_SCALE` (default `1.0` = paper scale: volumes up to
 //! 1024³, 512² images). `0.25` gives a laptop-quick pass with the same
@@ -180,7 +181,7 @@ fn cache_dir() -> PathBuf {
         .unwrap_or_else(|_| workspace_target().join("mgpu-bench-cache"))
 }
 
-/// Anchor artifact paths at the workspace target dir so `cargo bench`
+/// Anchor artifact paths at the workspace target dir so `cargo test`
 /// (CWD = crates/bench) and `cargo run` (CWD = workspace root) share caches.
 pub fn workspace_target() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
